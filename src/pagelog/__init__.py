@@ -3,23 +3,20 @@
 The package models the memory-tracking pipeline of a virtualized host at
 desk scale: synthetic guest workloads are replayed through a per-vCPU TLB,
 page walks feed logging hardware in either write-only or all-access mode,
-full buffers are drained into a per-VM cumulative log, and working-set-size
+full buffers are drained into the VM's cumulative log, and working-set-size
 estimators observe that log over virtual time.
 """
 
 from .errors import PredicateContractError, ProtocolError, TraceParseError, ValidationError
 from .estimator import (
     EstimatorParams,
-    EstimatorState,
     WssEstimate,
     estimate_epsilon,
     estimate_oracle,
-    estimate_pml,
-    estimate_prl,
     estimate_vmware,
 )
 from .handler import CumulativeLog, FullEvent, handle_full
-from .mmu import Tlb, TlbConfig, WalkEvent
+from .mmu import Tlb, TlbConfig
 from .sim import (
     PairedComparison,
     Scenario,
@@ -30,8 +27,6 @@ from .sim import (
     run_paired,
 )
 from .trace import (
-    MemAccess,
-    Op,
     Pattern,
     Trace,
     WorkloadSpec,
@@ -41,7 +36,7 @@ from .trace import (
     write_trace,
     write_trace_file,
 )
-from .tracker import LogBuffer, Outcome, Tracker, TrackerStats, TrackingConfig, TrackingMode
+from .tracker import LogBuffer, Tracker, TrackerStats, TrackingConfig, TrackingMode
 
 __version__ = "0.1.0"
 
@@ -51,19 +46,15 @@ __all__ = [
     "TraceParseError",
     "ValidationError",
     "EstimatorParams",
-    "EstimatorState",
     "WssEstimate",
     "estimate_epsilon",
     "estimate_oracle",
-    "estimate_pml",
-    "estimate_prl",
     "estimate_vmware",
     "CumulativeLog",
     "FullEvent",
     "handle_full",
     "Tlb",
     "TlbConfig",
-    "WalkEvent",
     "PairedComparison",
     "Scenario",
     "SimReport",
@@ -71,8 +62,6 @@ __all__ = [
     "parse_scenario_text",
     "run",
     "run_paired",
-    "MemAccess",
-    "Op",
     "Pattern",
     "Trace",
     "WorkloadSpec",
@@ -82,7 +71,6 @@ __all__ = [
     "write_trace",
     "write_trace_file",
     "LogBuffer",
-    "Outcome",
     "Tracker",
     "TrackerStats",
     "TrackingConfig",

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .errors import TraceParseError, ValidationError
-from .estimator import run_convergence
+from .estimator import estimate_from_series
 from .sim import (
     load_scenario,
     report_to_json,
@@ -92,10 +92,16 @@ def _compare_one(path: str):
     return run_paired(scenario)
 
 
+def compare_workers(requested: int, n_scenarios: int) -> int:
+    """Worker processes for ``compare``: at most one per scenario and per CPU."""
+    return max(1, min(requested, n_scenarios, os.cpu_count() or 1))
+
+
 def cmd_compare(args) -> int:
     paths = list(args.scenarios)
-    if args.parallel > 1 and len(paths) > 1:
-        with multiprocessing.Pool(processes=args.parallel) as pool:
+    workers = compare_workers(args.parallel, len(paths))
+    if workers > 1:
+        with multiprocessing.Pool(processes=workers) as pool:
             comparisons = pool.map(_compare_one, paths)
     else:
         comparisons = [_compare_one(p) for p in paths]
@@ -119,10 +125,10 @@ def cmd_dist(args) -> int:
         series = [o.distinct_pages for o in report.observations]
     else:
         series = [o.hot_pages for o in report.observations]
-    state = run_convergence(iter(series), scenario.estimator)
+    converged_index = estimate_from_series(series, scenario.estimator).converged_index
     lines = ["i,t_ns,dist,is_convergence_point"]
     for i, obs in enumerate(report.observations):
-        flag = 1 if state.converged and i == state.converged_index else 0
+        flag = 1 if i == converged_index else 0
         lines.append(f"{i},{obs.t_ns},{series[i]},{flag}")
     _write_or_print("\n".join(lines) + "\n", args.output)
     return 0
@@ -156,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="paired estimator comparison")
     p_cmp.add_argument("scenarios", nargs="+", help="scenario file(s)")
     p_cmp.add_argument("-o", "--output", default=None, help="comparison CSV (default stdout)")
-    p_cmp.add_argument("--parallel", type=int, default=1, help="worker processes")
+    p_cmp.add_argument("--parallel", type=int, default=1,
+                       help="worker processes (at most one per scenario and CPU)")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_dist = sub.add_parser("dist", help="observation time series of a scenario")

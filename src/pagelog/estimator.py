@@ -9,10 +9,11 @@ construction since pages only ever accumulate log entries.
 
 Estimators:
 
-* :func:`estimate_prl`    -- counts pages logged at least ``tau`` times
-  (all-access logging required; identifies hot pages).
-* :func:`estimate_pml`    -- counts distinct logged pages; write-only
-  logging records a page once, so ``tau`` cannot apply.
+* :func:`estimate_from_series` -- the convergence loop over one observation
+  series: ``prl`` feeds it the count of pages logged at least ``tau`` times
+  (all-access logging; identifies hot pages), ``pml`` the count of distinct
+  logged pages (write-only logging records a page once, so ``tau`` cannot
+  apply).
 * :func:`estimate_vmware` -- the sampling baseline: each period, 100 random
   pages have their present bit invalidated and the faulting fraction scales
   to the allocation size.
@@ -24,8 +25,9 @@ Estimators:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +41,14 @@ DEFAULT_VMWARE_SAMPLE_SIZE = 100
 DEFAULT_VMWARE_PERIOD_S = 30.0
 
 _NS_PER_S = 1_000_000_000
+
+
+def whole_ns(name: str, seconds: float) -> int:
+    """``seconds`` in whole nanoseconds; rejects values that are not finite or round to 0."""
+    ns = seconds * _NS_PER_S
+    if not (math.isfinite(ns) and round(ns) >= 1):
+        raise ValidationError(f"{name}: must be finite and at least 1 ns, got {seconds!r}")
+    return round(ns)
 
 
 @dataclass(frozen=True)
@@ -59,10 +69,8 @@ class EstimatorParams:
     def validate(self) -> None:
         if self.tau < 1:
             raise ValidationError("tau: must be >= 1")
-        if self.mu_s <= 0:
-            raise ValidationError("mu_s: must be > 0")
-        if self.omega_s <= 0:
-            raise ValidationError("omega_s: must be > 0")
+        whole_ns("mu_s", self.mu_s)
+        whole_ns("omega_s", self.omega_s)
         if self.page_size < 1:
             raise ValidationError("page_size: must be >= 1")
         if self.epsilon_bytes < 0:
@@ -84,15 +92,6 @@ class EstimatorParams:
         return self.omega_ns // self.mu_ns
 
 
-@dataclass
-class EstimatorState:
-    """Observation history of one estimation run."""
-
-    dist: list[int]
-    converged: bool
-    converged_index: Optional[int] = None
-
-
 @dataclass(frozen=True)
 class WssEstimate:
     """Result of one estimator: hot-page count plus the Eq.-style byte total."""
@@ -108,16 +107,18 @@ def _m_bytes(wss_pages: int, params: EstimatorParams) -> int:
     return wss_pages * params.page_size + params.epsilon_bytes
 
 
-def run_convergence(dist_values: Iterable[int], params: EstimatorParams) -> EstimatorState:
-    """Consume observations until the stability rule fires or input ends.
+def estimate_from_series(dist_values: Iterable[int], params: EstimatorParams) -> WssEstimate:
+    """Run the convergence loop over an observation series and build the estimate.
 
     Stops pulling from ``dist_values`` as soon as the loop converges, like
-    the live estimation process would. Raises if the series decreases,
-    since distinct-page counts over a cumulative log are monotone.
+    the live estimation process would; unconverged, the estimate is the last
+    observation. Raises if the series decreases, since distinct-page counts
+    over a cumulative log are monotone.
     """
     params.validate()
     k = params.window
     dist: list[int] = []
+    converged_index = None
     for value in dist_values:
         if dist and value < dist[-1]:
             raise ValidationError(
@@ -126,49 +127,16 @@ def run_convergence(dist_values: Iterable[int], params: EstimatorParams) -> Esti
         dist.append(value)
         i = len(dist) - 1
         if i >= k and dist[i] - dist[i - k] == 0:
-            return EstimatorState(dist=dist, converged=True, converged_index=i)
-    return EstimatorState(dist=dist, converged=False, converged_index=None)
-
-
-def estimate_from_series(dist_values: Iterable[int], params: EstimatorParams) -> WssEstimate:
-    """Build the estimate for a precomputed observation series."""
-    state = run_convergence(dist_values, params)
-    if state.converged:
-        wss = state.dist[state.converged_index]
-    else:
-        wss = state.dist[-1] if state.dist else 0
+            converged_index = i
+            break
+    wss = dist[-1] if dist else 0
     return WssEstimate(
         wss_pages=wss,
         m_bytes=_m_bytes(wss, params),
-        observations=tuple(state.dist),
-        converged=state.converged,
-        converged_index=state.converged_index,
+        observations=tuple(dist),
+        converged=converged_index is not None,
+        converged_index=converged_index,
     )
-
-
-def estimate_prl(
-    log_samples: Iterable[Mapping[int, int]], params: EstimatorParams
-) -> WssEstimate:
-    """Hot-page estimate over periodic views of an all-access cumulative log.
-
-    ``log_samples`` yields the log's page->count mapping once per ``mu`` of
-    virtual time; sampling stops at convergence.
-    """
-    tau = params.tau
-    return estimate_from_series(
-        (sum(1 for c in sample.values() if c >= tau) for sample in log_samples), params
-    )
-
-
-def estimate_pml(
-    log_samples: Iterable[Mapping[int, int]], params: EstimatorParams
-) -> WssEstimate:
-    """Distinct-page estimate over periodic views of a write-only log.
-
-    Write-only logging records each page once per dirty transition, so hot
-    pages cannot be told from cold ones; the count threshold is not applied.
-    """
-    return estimate_from_series((len(sample) for sample in log_samples), params)
 
 
 def estimate_oracle(trace: Trace, params: EstimatorParams) -> WssEstimate:
@@ -214,9 +182,7 @@ def estimate_vmware(
         raise ValidationError("sample_size: must be >= 1")
     if sample_size > allocated_pages:
         raise ValidationError("sample_size: must not exceed allocated pages")
-    if period_s <= 0:
-        raise ValidationError("period_s: must be > 0")
-    period_ns = round(period_s * _NS_PER_S)
+    period_ns = whole_ns("period_s", period_s)
     if until_ns is None:
         until_ns = int(trace.t[-1]) if len(trace) else 0
 
@@ -224,21 +190,18 @@ def estimate_vmware(
     t = trace.t
     g = trace.gppn
     per_period: list[int] = []
-    k = 0
-    while (k + 1) * period_ns <= until_ns:
+    for k in range(until_ns // period_ns):  # periods completed by until_ns
         start = k * period_ns
-        end = start + period_ns
         sample = rng.choice(allocated_pages, size=sample_size, replace=False)
         lo = int(np.searchsorted(t, start, side="left"))
-        hi = int(np.searchsorted(t, end, side="left"))
+        hi = int(np.searchsorted(t, start + period_ns, side="left"))
         faulted = int(np.isin(sample, g[lo:hi]).sum())
         per_period.append(round(faulted / sample_size * allocated_pages))
-        k += 1
     if per_period:
         wss = per_period[-1]
     else:
         sample = rng.choice(allocated_pages, size=sample_size, replace=False)
-        lo = int(np.searchsorted(t, k * period_ns, side="left"))
+        lo = int(np.searchsorted(t, 0, side="left"))
         hi = int(np.searchsorted(t, until_ns, side="right"))
         faulted = int(np.isin(sample, g[lo:hi]).sum()) if hi > lo else 0
         wss = round(faulted / sample_size * allocated_pages)
@@ -295,12 +258,9 @@ __all__ = [
     "DEFAULT_VMWARE_SAMPLE_SIZE",
     "DEFAULT_VMWARE_PERIOD_S",
     "EstimatorParams",
-    "EstimatorState",
     "WssEstimate",
-    "run_convergence",
+    "whole_ns",
     "estimate_from_series",
-    "estimate_prl",
-    "estimate_pml",
     "estimate_oracle",
     "estimate_vmware",
     "estimate_epsilon",

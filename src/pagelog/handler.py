@@ -1,6 +1,6 @@
 """Controller-side handling of buffer-full events.
 
-Full buffers are transferred in batches into one cumulative per-VM log that
+Full buffers are transferred in batches into the VM's cumulative log, which
 counts, for every page, how many times it has appeared. One handler
 invocation drains every pending full event, so a burst of events costs a
 single activation, and resumes each drained buffer by resetting its index.
@@ -20,19 +20,18 @@ from .tracker import Tracker
 
 
 class CumulativeLog:
-    """Per-VM map from page number to the number of times it was logged.
+    """Map from page number to the number of times it was logged.
 
     When ``hot_threshold`` is given, the count of pages at or above it is
     maintained incrementally (``hot_count``), which keeps periodic working
     set observations O(1).
     """
 
-    __slots__ = ("owner_vm", "counts", "total", "hot_threshold", "hot_count")
+    __slots__ = ("counts", "total", "hot_threshold", "hot_count")
 
-    def __init__(self, owner_vm: int = 0, hot_threshold: int | None = None):
+    def __init__(self, hot_threshold: int | None = None):
         if hot_threshold is not None and hot_threshold < 1:
             raise ProtocolError("hot_threshold: must be >= 1 when set")
-        self.owner_vm = owner_vm
         self.counts: dict[int, int] = {}
         self.total = 0
         self.hot_threshold = hot_threshold
@@ -70,58 +69,45 @@ class CumulativeLog:
 class FullEvent:
     """A raised buffer-full event awaiting handling."""
 
-    vm_id: int
     vcpu: int
     snapshot: Tuple[int, ...]
-    raised_at_ns: int = 0
     applied: bool = field(default=False, compare=False)
 
 
-def batch_duration_ns(events: Sequence[FullEvent], trackers: Mapping[Tuple[int, int], Tracker]) -> int:
+def batch_duration_ns(events: Sequence[FullEvent], trackers: Mapping[int, Tracker]) -> int:
     """Virtual time one invocation needs for ``events`` (entries x per-entry cost)."""
-    total = 0
-    for ev in events:
-        tracker = trackers[(ev.vm_id, ev.vcpu)]
-        total += len(ev.snapshot) * tracker.config.handler_latency_per_entry_ns
-    return total
+    return sum(len(ev.snapshot) * trackers[ev.vcpu].config.handler_latency_per_entry_ns
+               for ev in events)
 
 
-def handle_full(
-    events: Sequence[FullEvent],
-    logs: Mapping[int, CumulativeLog],
-    trackers: Mapping[Tuple[int, int], Tracker],
-) -> int:
-    """Drain ``events`` into the owning VMs' cumulative logs; returns the duration.
+def handle_full(events: Sequence[FullEvent], log: CumulativeLog,
+                trackers: Mapping[int, Tracker]) -> int:
+    """Drain ``events`` into the cumulative log; returns the duration.
 
-    All listed trackers must still be stopped (negative index); each event
-    may be applied once. Counts from every snapshot are folded in first,
-    then every drained tracker's index is reset so logging resumes.
+    ``trackers`` maps each vCPU to its tracker. All listed trackers must
+    still be stopped (negative index); each event may be applied once.
+    Counts from every snapshot are folded in first, then every drained
+    tracker's index is reset so logging resumes.
     """
-    seen: set[Tuple[int, int]] = set()
+    seen: set[int] = set()
     for ev in events:
-        key = (ev.vm_id, ev.vcpu)
-        tracker = trackers[key]
+        tracker = trackers[ev.vcpu]
         if tracker.index >= 0:
             raise ProtocolError(
-                f"handle_full: tracker (vm={ev.vm_id}, vcpu={ev.vcpu}) has index "
-                f"{tracker.index}, no full event outstanding"
+                f"handle_full: tracker of vcpu {ev.vcpu} has index {tracker.index}, "
+                f"no full event outstanding"
             )
         if ev.applied:
-            raise ProtocolError(
-                f"handle_full: snapshot from (vm={ev.vm_id}, vcpu={ev.vcpu}) already applied"
-            )
-        if key in seen:
-            raise ProtocolError(
-                f"handle_full: two snapshots from one tracker (vm={ev.vm_id}, vcpu={ev.vcpu})"
-            )
-        seen.add(key)
-    duration = batch_duration_ns(events, trackers)
+            raise ProtocolError(f"handle_full: snapshot from vcpu {ev.vcpu} already applied")
+        if ev.vcpu in seen:
+            raise ProtocolError(f"handle_full: two snapshots from one tracker (vcpu {ev.vcpu})")
+        seen.add(ev.vcpu)
     for ev in events:
-        logs[ev.vm_id].add_snapshot(ev.snapshot)
+        log.add_snapshot(ev.snapshot)
         ev.applied = True
     for ev in events:
-        trackers[(ev.vm_id, ev.vcpu)].reset_index()
-    return duration
+        trackers[ev.vcpu].reset_index()
+    return batch_duration_ns(events, trackers)
 
 
 __all__ = ["CumulativeLog", "FullEvent", "batch_duration_ns", "handle_full"]

@@ -10,18 +10,20 @@ clear always takes the walk path, even when a (clean) translation is
 resident: hardware must update the in-memory flag, and that microwalk is
 what write-logging hardware hooks. Such an access is classified as a Miss.
 Once the flag is set, writes behave exactly like reads.
+
+Flags are never cleared, so each page takes at most one dirty walk per TLB,
+and a TLB's output depends on its access stream alone. Each vCPU has its
+own TLB and therefore its own flag table.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 from .errors import ValidationError
-from .trace import MemAccess, Op
 
-# Outcome codes of Tlb.lookup_raw; kept as plain ints for the hot path.
+# Return codes of Tlb.lookup_raw; kept as plain ints for the hot path.
 TLB_HIT = 0
 TLB_WALK = 1
 TLB_WALK_DIRTY = 2
@@ -48,22 +50,6 @@ class TlbConfig:
     @property
     def n_sets(self) -> int:
         return self.entries // self.ways
-
-
-@dataclass(frozen=True)
-class WalkEvent:
-    """A page-table walk produced by a missing access.
-
-    ``dirty_set`` is true iff this walk transitioned the page's dirty flag
-    from clear to set, which requires a write.
-    """
-
-    access: MemAccess
-    dirty_set: bool
-
-    def __post_init__(self):
-        if self.dirty_set and self.access.op is not Op.WRITE:
-            raise ValidationError("dirty_set: only a write can set the dirty flag")
 
 
 class Tlb:
@@ -108,27 +94,6 @@ class Tlb:
         self.misses += 1
         return TLB_WALK
 
-    def lookup(self, access: MemAccess) -> Optional[WalkEvent]:
-        """Object-level variant of :meth:`lookup_raw`: None on hit, else the walk."""
-        code = self.lookup_raw(access.gppn, access.op is Op.WRITE)
-        if code == TLB_HIT:
-            return None
-        return WalkEvent(access=access, dirty_set=(code == TLB_WALK_DIRTY))
-
-    def clear_dirty(self, pages: Iterable[int]) -> None:
-        """Clear the dirty flags of ``pages`` and drop their translations.
-
-        Dropping the translation forces the next write to re-walk, so the
-        flag transition is observable again.
-        """
-        for gppn in pages:
-            self._dirty.discard(gppn)
-            s = self._sets[gppn % self._n_sets]
-            s.pop(gppn, None)
-
-    def dirty_pages(self) -> set[int]:
-        return set(self._dirty)
-
     def resident(self, gppn: int) -> bool:
         return gppn in self._sets[gppn % self._n_sets]
 
@@ -144,6 +109,5 @@ __all__ = [
     "TLB_WALK",
     "TLB_WALK_DIRTY",
     "TlbConfig",
-    "WalkEvent",
     "Tlb",
 ]

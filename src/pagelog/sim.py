@@ -1,8 +1,16 @@
 """Deterministic virtual-time simulation binding trace, TLB, tracker and handler.
 
 One run replays a trace through per-vCPU TLBs; every walk feeds that vCPU's
-logging hardware; full buffers flow to the handler; the per-VM cumulative
-log is observed every ``mu`` of virtual time to build the estimation series.
+logging hardware; full buffers flow to the handler; the VM's cumulative log
+is observed every ``mu`` of virtual time to build the estimation series.
+
+The engine has two stages per chunk of the trace. The walk stage runs each
+vCPU's TLB over that vCPU's accesses and yields one outcome code per access.
+The event loop then runs once over the chunk's walks only. This split is
+exact: dirty flags are never cleared, so TLB outcomes do not depend on any
+tracker or handler state, and only walks change tracker, handler or log
+state, so due completions and observations fired before each walk come out
+the same as if they were fired before every access.
 
 Event ordering is fixed: within one virtual instant, VM accesses are
 processed first, then due handler completions, then estimator observations.
@@ -24,7 +32,9 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .errors import ValidationError
 from .estimator import (
@@ -33,9 +43,10 @@ from .estimator import (
     estimate_from_series,
     estimate_oracle,
     estimate_vmware,
+    whole_ns,
 )
 from .handler import CumulativeLog, FullEvent, batch_duration_ns, handle_full
-from .mmu import Tlb, TlbConfig
+from .mmu import TLB_WALK_DIRTY, Tlb, TlbConfig
 from .tracker import (
     OBS_FULL,
     Tracker,
@@ -50,8 +61,6 @@ ESTIMATOR_PML = "pml"
 ESTIMATOR_VMWARE = "vmware"
 ESTIMATOR_ORACLE = "oracle"
 ALL_ESTIMATORS = (ESTIMATOR_PRL, ESTIMATOR_PML, ESTIMATOR_VMWARE, ESTIMATOR_ORACLE)
-
-_VM_ID = 0  # single simulated VM per scenario
 
 
 @dataclass(frozen=True)
@@ -88,6 +97,9 @@ class Scenario:
             raise ValidationError("estimators: pml requires tracking mode pml")
         if self.vm_pages is not None and self.vm_pages < 1:
             raise ValidationError("vm_pages: must be >= 1")
+        if self.vmware_sample_size < 1:
+            raise ValidationError("vmware.sample_size: must be >= 1")
+        whole_ns("vmware.period_s", self.vmware_period_s)
 
 
 @dataclass(frozen=True)
@@ -228,158 +240,113 @@ class SimReport:
         return "\n".join(lines)
 
 
-class _EngineOutput:
-    __slots__ = ("walks", "stats", "log", "observations", "handler_busy_ns")
+class _EngineOutput(NamedTuple):
+    walks: int
+    stats: TrackerStats
+    log: CumulativeLog
+    observations: list
+    handler_busy_ns: int
 
-    def __init__(self, walks, stats, log, observations, handler_busy_ns):
-        self.walks = walks
-        self.stats = stats
-        self.log = log
-        self.observations = observations
-        self.handler_busy_ns = handler_busy_ns
+
+_CHUNK = 1 << 19  # accesses per walk stage
+_NEVER = 1 << 62  # busy_until while no handler batch is running
 
 
 def _simulate(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
               params: EstimatorParams) -> _EngineOutput:
-    """Replay the trace through the hardware model; the core event loop."""
-    mode = tracking.mode
-    synchronous = mode is TrackingMode.PML
-    log = CumulativeLog(owner_vm=_VM_ID, hot_threshold=params.tau)
-    logs = {_VM_ID: log}
-
-    vcpu_ids = sorted({int(v) for v in set(trace.vcpu.tolist())}) if len(trace) else [0]
+    """Replay the trace through the hardware model: walk stage, then event loop."""
+    synchronous = tracking.mode is TrackingMode.PML
+    log = CumulativeLog(hot_threshold=params.tau)
+    vcpu_ids = np.unique(trace.vcpu).tolist()
     tlbs = {v: Tlb(tlb_config) for v in vcpu_ids}
     trackers = {v: Tracker(tracking) for v in vcpu_ids}
-    handler_trackers = {(_VM_ID, v): trackers[v] for v in vcpu_ids}
-    single = len(vcpu_ids) == 1
+    observe = {v: tracker.observe_raw for v, tracker in trackers.items()}
 
     mu = params.mu_ns
     next_obs = mu
     observations: list[ObsPoint] = []
-
     pending: list[FullEvent] = []
     batch: Optional[list] = None
-    busy_until = 0
+    busy_until = _NEVER
     handler_busy_ns = 0
     walks = 0
 
-    INF = (1 << 62)
+    def start_batch(now: int) -> None:
+        """Hand every pending full event to one handler invocation."""
+        nonlocal batch, busy_until, handler_busy_ns
+        batch = pending[:]
+        pending.clear()
+        dur = batch_duration_ns(batch, trackers)
+        handler_busy_ns += dur
+        busy_until = now + dur
+
+    def drain_residuals() -> None:
+        for tracker in trackers.values():
+            residual = tracker.drain_residual()
+            if residual:
+                log.add_snapshot(residual)
 
     def fire_due(now: int) -> None:
         """Apply handler completions and observations strictly before ``now``."""
-        nonlocal batch, busy_until, next_obs, handler_busy_ns
+        nonlocal batch, busy_until, next_obs
         while True:
-            ct = busy_until if batch is not None else INF
+            ct = busy_until
             if ct >= now and next_obs >= now:
                 return
             if ct <= next_obs:
-                handle_full(batch, logs, handler_trackers)
-                batch = None
+                handle_full(batch, log, trackers)
+                batch, busy_until = None, _NEVER
                 if pending:
-                    new_batch = pending[:]
-                    pending.clear()
-                    dur = batch_duration_ns(new_batch, handler_trackers)
-                    handler_busy_ns += dur
-                    batch = new_batch
-                    busy_until = ct + dur
+                    start_batch(ct)
             else:
                 if synchronous:
                     # Synchronous-mode collection reads the hardware buffer on
                     # demand (flush-on-query), so partially filled buffers are
                     # visible to the estimator, not only full ones.
-                    for v in vcpu_ids:
-                        residual = trackers[v].drain_residual()
-                        if residual:
-                            log.add_snapshot(residual)
+                    drain_residuals()
                 observations.append(ObsPoint(next_obs, log.hot_count, log.distinct_count))
                 next_obs += mu
 
     n = len(trace)
-    chunk = 1 << 19
-    t_arr = trace.t
-    g_arr = trace.gppn
-    w_arr = trace.is_write
-    v_arr = trace.vcpu
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        gs, ws, vs = trace.gppn[lo:hi], trace.is_write[lo:hi], trace.vcpu[lo:hi]
+        # Walk stage: each vCPU's TLB over that vCPU's own accesses.
+        codes = np.empty(hi - lo, dtype=np.int8)
+        for v in vcpu_ids:
+            mine = np.flatnonzero(vs == v)
+            codes[mine] = np.fromiter(
+                map(tlbs[v].lookup_raw, gs[mine].tolist(), ws[mine].tolist()),
+                dtype=np.int8, count=len(mine),
+            )
+        # Event loop over the walks.
+        walk = np.flatnonzero(codes)
+        walks += len(walk)
+        dirty = codes[walk] == TLB_WALK_DIRTY
+        for t, g, v, d in zip(trace.t[lo:hi][walk].tolist(), gs[walk].tolist(),
+                              vs[walk].tolist(), dirty.tolist()):
+            if busy_until < t or next_obs < t:
+                fire_due(t)
+            if observe[v](g, d) == OBS_FULL:
+                snap = trackers[v].take_full_snapshot()
+                if synchronous:
+                    log.add_snapshot(snap)
+                else:
+                    pending.append(FullEvent(v, snap))
+                    if batch is None:
+                        start_batch(t)
 
-    if single:
-        tlb = tlbs[vcpu_ids[0]]
-        tracker = trackers[vcpu_ids[0]]
-        lookup = tlb.lookup_raw
-        observe = tracker.observe_raw
-        take_snapshot = tracker.take_full_snapshot
-        add_snapshot = log.add_snapshot
-        vcpu0 = vcpu_ids[0]
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            ts = t_arr[lo:hi].tolist()
-            gs = g_arr[lo:hi].tolist()
-            ws = w_arr[lo:hi].tolist()
-            for i in range(hi - lo):
-                t = ts[i]
-                if (batch is not None and busy_until < t) or next_obs < t:
-                    fire_due(t)
-                g = gs[i]
-                code = lookup(g, ws[i])
-                if code:
-                    walks += 1
-                    if observe(g, code == 2) == OBS_FULL:
-                        snap = take_snapshot()
-                        if synchronous:
-                            add_snapshot(snap)
-                        else:
-                            pending.append(FullEvent(_VM_ID, vcpu0, snap, t))
-                            if batch is None:
-                                batch = pending[:]
-                                pending.clear()
-                                dur = batch_duration_ns(batch, handler_trackers)
-                                handler_busy_ns += dur
-                                busy_until = t + dur
-    else:
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            ts = t_arr[lo:hi].tolist()
-            gs = g_arr[lo:hi].tolist()
-            ws = w_arr[lo:hi].tolist()
-            vs = v_arr[lo:hi].tolist()
-            for i in range(hi - lo):
-                t = ts[i]
-                if (batch is not None and busy_until < t) or next_obs < t:
-                    fire_due(t)
-                g = gs[i]
-                v = vs[i]
-                code = tlbs[v].lookup_raw(g, ws[i])
-                if code:
-                    walks += 1
-                    tracker = trackers[v]
-                    if tracker.observe_raw(g, code == 2) == OBS_FULL:
-                        snap = tracker.take_full_snapshot()
-                        if synchronous:
-                            log.add_snapshot(snap)
-                        else:
-                            pending.append(FullEvent(_VM_ID, v, snap, t))
-                            if batch is None:
-                                batch = pending[:]
-                                pending.clear()
-                                dur = batch_duration_ns(batch, handler_trackers)
-                                handler_busy_ns += dur
-                                busy_until = t + dur
-
-    end_t = int(t_arr[-1]) if n else 0
+    end_t = int(trace.t[-1]) if n else 0
     fire_due(end_t + 1)
 
     # Flush handler work scheduled beyond the end of the trace, then fold in
     # whatever is still sitting in partially filled buffers.
     while batch is not None:
-        handle_full(batch, logs, handler_trackers)
+        handle_full(batch, log, trackers)
         batch = None
         if pending:
-            batch = pending[:]
-            pending.clear()
-            handler_busy_ns += batch_duration_ns(batch, handler_trackers)
-    for v in vcpu_ids:
-        residual = trackers[v].drain_residual()
-        if residual:
-            log.add_snapshot(residual)
+            start_batch(busy_until)
+    drain_residuals()
     if n:
         # Closing observation: the estimation process reads the fully drained
         # log once the workload ends, so traces shorter than a buffer round
@@ -387,8 +354,8 @@ def _simulate(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
         observations.append(ObsPoint(end_t, log.hot_count, log.distinct_count))
 
     stats = TrackerStats()
-    for v in vcpu_ids:
-        stats = stats.merged(trackers[v].stats())
+    for tracker in trackers.values():
+        stats = stats.merged(tracker.stats())
     return _EngineOutput(walks, stats, log, observations, handler_busy_ns)
 
 
@@ -427,7 +394,7 @@ def run(scenario: Scenario, trace: Optional[Trace] = None) -> SimReport:
     enabled = scenario.estimators_enabled
 
     if mode is TrackingMode.OFF:
-        out = _EngineOutput(0, TrackerStats(), CumulativeLog(_VM_ID, params.tau), [], 0)
+        out = _EngineOutput(0, TrackerStats(), CumulativeLog(hot_threshold=params.tau), [], 0)
     else:
         out = _simulate(trace, scenario.tracking, scenario.tlb, params)
 

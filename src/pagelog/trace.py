@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Iterator, Optional
+from typing import BinaryIO, Optional
 
 import numpy as np
 
@@ -37,11 +37,6 @@ from .errors import TraceParseError, ValidationError
 PAGE_SIZE = 4096  # bytes per guest page; all defaults assume 4 KB pages
 
 DEFAULT_INTER_ACCESS_GAP_NS = 100
-
-
-class Op(Enum):
-    READ = "R"
-    WRITE = "W"
 
 
 class Pattern(Enum):
@@ -57,16 +52,6 @@ class Pattern(Enum):
         except ValueError:
             valid = ", ".join(p.value for p in cls)
             raise ValidationError(f"pattern: unknown pattern {name!r} (expected one of {valid})") from None
-
-
-@dataclass(frozen=True)
-class MemAccess:
-    """One guest memory reference: virtual time (ns), vCPU, page number, op."""
-
-    t: int
-    vcpu: int
-    gppn: int
-    op: Op
 
 
 @dataclass(frozen=True)
@@ -141,15 +126,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __iter__(self) -> Iterator[MemAccess]:
-        for i in range(len(self.t)):
-            yield MemAccess(
-                t=int(self.t[i]),
-                vcpu=int(self.vcpu[i]),
-                gppn=int(self.gppn[i]),
-                op=Op.WRITE if self.is_write[i] else Op.READ,
-            )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
@@ -325,9 +301,7 @@ def read_trace_file(path) -> Trace:
 
 __all__ = [
     "PAGE_SIZE",
-    "Op",
     "Pattern",
-    "MemAccess",
     "WorkloadSpec",
     "Trace",
     "generate",

@@ -25,7 +25,6 @@ from enum import Enum
 from typing import Optional
 
 from .errors import ProtocolError, ValidationError
-from .mmu import WalkEvent
 
 DEFAULT_BUFFER_ENTRIES = 512
 DEFAULT_VMEXIT_COST_NS = 4000
@@ -46,22 +45,11 @@ class TrackingMode(Enum):
             raise ValidationError(f"mode: unknown mode {name!r} (expected one of {valid})") from None
 
 
-class Outcome(Enum):
-    """Result of observing one walk."""
-
-    LOGGED = "logged"
-    DROPPED = "dropped"
-    IGNORED = "ignored"
-    FULL = "full"
-
-
-# Integer aliases of Outcome for the raw path.
+# Return codes of Tracker.observe_raw; kept as plain ints for the hot path.
 OBS_LOGGED = 0
 OBS_DROPPED = 1
 OBS_IGNORED = 2
 OBS_FULL = 3
-
-_OUTCOME_BY_CODE = (Outcome.LOGGED, Outcome.DROPPED, Outcome.IGNORED, Outcome.FULL)
 
 
 @dataclass(frozen=True)
@@ -119,7 +107,6 @@ class Tracker:
         "logged",
         "vm_stall_ns",
         "_pending_snapshot",
-        "_last_observe_ns",
     )
 
     def __init__(self, config: TrackingConfig):
@@ -134,9 +121,6 @@ class Tracker:
         self.logged = 0
         self.vm_stall_ns = 0
         self._pending_snapshot: Optional[tuple] = None
-        self._last_observe_ns = 0
-
-    # -- raw path -----------------------------------------------------------
 
     def observe_raw(self, gppn: int, dirty_set: bool) -> int:
         """Feed one walk; returns an OBS_* code.
@@ -180,18 +164,7 @@ class Tracker:
                 return OBS_FULL
             self.index = i
             return OBS_LOGGED
-        raise ProtocolError("observe: tracking mode is off")
-
-    # -- object path ----------------------------------------------------------
-
-    def observe(self, walk: WalkEvent, now: int) -> Outcome:
-        if now < self._last_observe_ns:
-            raise ProtocolError(
-                f"observe: time went backwards ({now} < {self._last_observe_ns})"
-            )
-        self._last_observe_ns = now
-        code = self.observe_raw(walk.access.gppn, walk.dirty_set)
-        return _OUTCOME_BY_CODE[code]
+        raise ProtocolError("observe_raw: tracking mode is off")
 
     def take_full_snapshot(self) -> tuple:
         """Return and consume the snapshot of the last full event, in log order."""
@@ -235,7 +208,6 @@ __all__ = [
     "DEFAULT_VMEXIT_COST_NS",
     "DEFAULT_HANDLER_LATENCY_PER_ENTRY_NS",
     "TrackingMode",
-    "Outcome",
     "OBS_LOGGED",
     "OBS_DROPPED",
     "OBS_IGNORED",

@@ -1,11 +1,12 @@
 """Shared test utilities.
 
 ``reference_run`` replays a trace by composing the public per-access APIs
-(one call per access, object layer, non-incremental hot counting). It is an
-independent route to the same semantics as ``pagelog.sim.run`` and is used
-to cross-check the integrated engine on small scenarios, and to expose
-per-walk outcomes (e.g. which pages were dropped) that the engine does not
-report.
+one access at a time, with non-incremental hot counting. It fires due
+handler completions and observations before every access, where the engine
+fires them before walks only, so it is an independent route to the same
+semantics as ``pagelog.sim.run``. It is used to cross-check the engine on
+small scenarios, and to expose per-walk outcomes (e.g. which pages were
+dropped) that the engine does not report.
 """
 
 from __future__ import annotations
@@ -14,23 +15,26 @@ from types import SimpleNamespace
 
 from pagelog.estimator import EstimatorParams
 from pagelog.handler import CumulativeLog, FullEvent, batch_duration_ns, handle_full
-from pagelog.mmu import Tlb, TlbConfig
-from pagelog.tracker import Outcome, Tracker, TrackerStats, TrackingConfig, TrackingMode
+from pagelog.mmu import TLB_HIT, TLB_WALK_DIRTY, Tlb, TlbConfig
+from pagelog.tracker import (
+    OBS_DROPPED,
+    OBS_FULL,
+    Tracker,
+    TrackerStats,
+    TrackingConfig,
+    TrackingMode,
+)
 from pagelog.trace import Trace
-
-VM = 0
 
 
 def reference_run(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
                   params: EstimatorParams):
     mode = tracking.mode
     synchronous = mode is TrackingMode.PML
-    log = CumulativeLog(owner_vm=VM)
-    logs = {VM: log}
-    vcpus = sorted({int(v) for v in trace.vcpu.tolist()}) if len(trace) else [0]
+    log = CumulativeLog()
+    vcpus = sorted({int(v) for v in trace.vcpu.tolist()})
     tlbs = {v: Tlb(tlb_config) for v in vcpus}
     trackers = {v: Tracker(tracking) for v in vcpus}
-    by_key = {(VM, v): trackers[v] for v in vcpus}
 
     mu = params.mu_ns
     tau = params.tau
@@ -41,7 +45,6 @@ def reference_run(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
     busy_until = 0
     walks = 0
     dropped_pages: set[int] = set()
-    outcomes: list[Outcome] = []
 
     def hot_count():
         return sum(1 for c in log.counts.values() if c >= tau)
@@ -53,13 +56,13 @@ def reference_run(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
             if (ct is None or ct >= now) and next_obs >= now:
                 return
             if ct is not None and ct <= next_obs:
-                handle_full(batch, logs, by_key)
+                handle_full(batch, log, trackers)
                 batch = None
                 if pending:
                     nb = pending[:]
                     pending.clear()
                     batch = nb
-                    busy_until = ct + batch_duration_ns(nb, by_key)
+                    busy_until = ct + batch_duration_ns(nb, trackers)
             else:
                 if synchronous:
                     for v in vcpus:
@@ -69,32 +72,32 @@ def reference_run(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
                 observations.append((next_obs, hot_count(), len(log.counts)))
                 next_obs += mu
 
-    for access in trace:
-        fire(access.t)
-        walk = tlbs[access.vcpu].lookup(access)
-        if walk is None:
+    for t, vcpu, gppn, is_write in zip(trace.t.tolist(), trace.vcpu.tolist(),
+                                       trace.gppn.tolist(), trace.is_write.tolist()):
+        fire(t)
+        code = tlbs[vcpu].lookup_raw(gppn, is_write)
+        if code == TLB_HIT:
             continue
         walks += 1
-        tracker = trackers[access.vcpu]
-        outcome = tracker.observe(walk, access.t)
-        outcomes.append(outcome)
-        if outcome is Outcome.DROPPED:
-            dropped_pages.add(access.gppn)
-        elif outcome is Outcome.FULL:
+        tracker = trackers[vcpu]
+        outcome = tracker.observe_raw(gppn, code == TLB_WALK_DIRTY)
+        if outcome == OBS_DROPPED:
+            dropped_pages.add(gppn)
+        elif outcome == OBS_FULL:
             snap = tracker.take_full_snapshot()
             if synchronous:
                 log.add_snapshot(snap)
             else:
-                pending.append(FullEvent(VM, access.vcpu, snap, access.t))
+                pending.append(FullEvent(vcpu, snap))
                 if batch is None:
                     batch = pending[:]
                     pending.clear()
-                    busy_until = access.t + batch_duration_ns(batch, by_key)
+                    busy_until = t + batch_duration_ns(batch, trackers)
 
     end_t = int(trace.t[-1]) if len(trace) else 0
     fire(end_t + 1)
     while batch is not None:
-        handle_full(batch, logs, by_key)
+        handle_full(batch, log, trackers)
         batch = None
         if pending:
             batch = pending[:]
@@ -115,5 +118,4 @@ def reference_run(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
         log=log,
         observations=observations,
         dropped_pages=dropped_pages,
-        outcomes=outcomes,
     )

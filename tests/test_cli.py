@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from pagelog.cli import main
+from pagelog.cli import compare_workers, main
 
 SMALL_SCENARIO = """
 workload.pattern = rrww
@@ -115,6 +116,17 @@ def test_run_invalid_scenario_exit1(tmp_path, capsys):
     assert "unknown scenario key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["estimator.mu_s", "vmware.period_s"])
+def test_run_interval_below_1ns_exit1(tmp_path, capsys, key):
+    # Values rounding to 0 ns used to end in a ZeroDivisionError traceback
+    # (mu_s) or an endless sampling loop (vmware.period_s).
+    bad = tmp_path / "bad.scn"
+    bad.write_text("workload.pattern = rwrw\nworkload.n_pages = 8\n"
+                   f"estimators = prl, vmware\n{key} = 1e-10\n")
+    assert main(["run", str(bad)]) == 1
+    assert key.split(".")[1] in capsys.readouterr().err
+
+
 def test_run_bad_trace_file_exit2(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     trace.write_text("0,0,7,X\n")
@@ -193,6 +205,15 @@ def test_compare_multiple_scenarios_and_parallel(scn, pml_scn, tmp_path):
     assert text.splitlines()[1].startswith("small,")
     assert len(text.strip().splitlines()) == 1 + 8
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_compare_workers_clamped_to_scenarios_and_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert compare_workers(64, 10) == 2
+    assert compare_workers(64, 1) == 1
+    assert compare_workers(0, 5) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert compare_workers(4, 4) == 1
 
 
 def test_dist_series_monotone_with_convergence_flag(scn, capsys):

@@ -7,11 +7,9 @@ from pagelog.estimator import (
     estimate_epsilon,
     estimate_from_series,
     estimate_oracle,
-    estimate_pml,
-    estimate_prl,
     estimate_vmware,
-    run_convergence,
 )
+from pagelog.handler import CumulativeLog
 from pagelog.trace import Pattern, Trace, WorkloadSpec, generate
 
 MS = 1e-3
@@ -26,16 +24,17 @@ def params(tau=50, mu_s=1 * MS, omega_s=4 * MS, epsilon=0, page_size=4096):
 
 def test_converges_at_first_flat_window():
     p = params()
-    state = run_convergence(iter([0, 1, 2, 3, 4, 4, 4, 4, 4]), p)
-    assert state.converged and state.converged_index == 8
-    assert state.dist == [0, 1, 2, 3, 4, 4, 4, 4, 4]
+    est = estimate_from_series(iter([0, 1, 2, 3, 4, 4, 4, 4, 4]), p)
+    assert est.converged and est.converged_index == 8
+    assert est.observations == (0, 1, 2, 3, 4, 4, 4, 4, 4)
+    assert est.wss_pages == 4
 
 
 def test_flat_zero_prefix_converges_to_zero():
     p = params()
-    state = run_convergence(iter([0, 0, 0, 0, 0, 7]), p)
-    assert state.converged and state.converged_index == 4
-    assert state.dist[-1] == 0  # the sixth sample is never pulled
+    est = estimate_from_series(iter([0, 0, 0, 0, 0, 7]), p)
+    assert est.converged and est.converged_index == 4
+    assert est.observations[-1] == est.wss_pages == 0  # the sixth sample is never pulled
 
 
 def test_stops_pulling_after_convergence():
@@ -46,14 +45,15 @@ def test_stops_pulling_after_convergence():
             pulls.append(i)
             yield v
 
-    state = run_convergence(series(), params())
-    assert state.converged_index == 4
+    est = estimate_from_series(series(), params())
+    assert est.converged_index == 4
     assert len(pulls) == 5
 
 
 def test_unconverged_series():
-    state = run_convergence(iter([1, 2, 3, 4, 5, 6]), params())
-    assert not state.converged and state.converged_index is None
+    est = estimate_from_series(iter([1, 2, 3, 4, 5, 6]), params())
+    assert not est.converged and est.converged_index is None
+    assert est.wss_pages == 6  # the last observation
 
 
 def test_empty_series():
@@ -63,7 +63,7 @@ def test_empty_series():
 
 def test_monotonicity_enforced():
     with pytest.raises(ValidationError, match="dist"):
-        run_convergence(iter([3, 2]), params())
+        estimate_from_series(iter([3, 2]), params())
 
 
 def test_convergence_index_matches_bruteforce():
@@ -74,21 +74,21 @@ def test_convergence_index_matches_bruteforce():
     for _ in range(50):
         steps = rng.integers(0, 3, size=12)
         series = np.cumsum(steps).tolist()
-        state = run_convergence(iter(series), p)
+        est = estimate_from_series(iter(series), p)
         expected = None
         for i in range(len(series)):
             if i >= k and series[i] - series[i - k] == 0:
                 expected = i
                 break
         if expected is None:
-            assert not state.converged
+            assert not est.converged
         else:
-            assert state.converged and state.converged_index == expected
+            assert est.converged and est.converged_index == expected
 
 
 def test_omega_must_be_multiple_of_mu():
     with pytest.raises(ValidationError, match="omega"):
-        run_convergence(iter([0]), EstimatorParams(mu_s=0.3, omega_s=1.0))
+        estimate_from_series(iter([0]), EstimatorParams(mu_s=0.3, omega_s=1.0))
 
 
 @pytest.mark.parametrize(
@@ -98,6 +98,12 @@ def test_omega_must_be_multiple_of_mu():
         (dict(mu_s=0), "mu_s"),
         (dict(omega_s=-1), "omega_s"),
         (dict(epsilon_bytes=-1), "epsilon_bytes"),
+        # Intervals that round to 0 ns used to divide by zero in validate().
+        (dict(mu_s=1e-10), "mu_s"),
+        (dict(omega_s=4.9e-10), "omega_s"),
+        (dict(mu_s=float("nan")), "mu_s"),
+        (dict(omega_s=float("inf")), "omega_s"),
+        (dict(mu_s=1e300), "mu_s"),
     ],
 )
 def test_params_validation(kwargs, field):
@@ -108,10 +114,18 @@ def test_params_validation(kwargs, field):
 # -- log-view estimators -------------------------------------------------------
 
 
+def _observed(snapshots, tau, counter):
+    """Fold one snapshot per observation into a log; yield its ``counter`` after each."""
+    log = CumulativeLog(hot_threshold=tau)
+    for snap in snapshots:
+        log.add_snapshot(snap)
+        yield getattr(log, counter)
+
+
 def test_single_hot_page():
     p = params(tau=3, epsilon=100)
-    samples = iter([{9: 1}, {9: 3}, {9: 5}, {9: 6}, {9: 6}, {9: 6}, {9: 6}])
-    est = estimate_prl(samples, p)
+    snaps = [(9,), (9, 9), (9, 9), (9,), (), (), ()]
+    est = estimate_from_series(_observed(snaps, p.tau, "hot_count"), p)
     assert est.wss_pages == 1
     assert est.m_bytes == 4096 + 100
     assert est.converged
@@ -119,15 +133,15 @@ def test_single_hot_page():
 
 def test_prl_counts_only_hot_pages():
     p = params(tau=2)
-    sample = {1: 5, 2: 1, 3: 2}
-    est = estimate_prl(iter([sample] * 5), p)
+    snaps = [(1, 1, 1, 1, 1, 2, 3, 3)] + [()] * 4
+    est = estimate_from_series(_observed(snaps, p.tau, "hot_count"), p)
     assert est.wss_pages == 2
 
 
 def test_pml_counts_distinct_ignoring_tau():
     p = params(tau=50)
-    sample = {1: 1, 2: 1, 3: 1}
-    est = estimate_pml(iter([sample] * 5), p)
+    snaps = [(1, 2, 3)] + [()] * 4
+    est = estimate_from_series(_observed(snaps, p.tau, "distinct_count"), p)
     assert est.wss_pages == 3
 
 
@@ -194,6 +208,13 @@ def test_vmware_untouched_memory():
                np.array([], dtype=np.int64), np.array([], dtype=bool))
     est = estimate_vmware(tr, 1000, params(), seed=3)
     assert est.wss_pages == 0
+
+
+@pytest.mark.parametrize("period_s", [0.0, 1e-10, float("nan")])
+def test_vmware_period_must_be_whole_ns(period_s):
+    # A period that rounds to 0 ns used to loop forever.
+    with pytest.raises(ValidationError, match="period_s"):
+        estimate_vmware(_uniform_trace(10, 2), 50, params(), sample_size=5, period_s=period_s)
 
 
 def test_vmware_sample_larger_than_allocation():

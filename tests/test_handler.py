@@ -2,13 +2,7 @@ import pytest
 
 from pagelog.errors import ProtocolError
 from pagelog.handler import CumulativeLog, FullEvent, handle_full
-from pagelog.mmu import WalkEvent
-from pagelog.tracker import Outcome, Tracker, TrackingConfig, TrackingMode
-from pagelog.trace import MemAccess, Op
-
-
-def _walk(gppn, t=0):
-    return WalkEvent(access=MemAccess(t=t, vcpu=0, gppn=gppn, op=Op.READ), dirty_set=False)
+from pagelog.tracker import OBS_FULL, Tracker, TrackingConfig, TrackingMode
 
 
 def _full_tracker(pages, entries=4, latency=20):
@@ -19,12 +13,9 @@ def _full_tracker(pages, entries=4, latency=20):
         )
     )
     snap = None
-    i = 0
     for p in pages:
-        out = tr.observe(_walk(p, i), i)
-        if out is Outcome.FULL:
+        if tr.observe_raw(p, False) == OBS_FULL:
             snap = tr.take_full_snapshot()
-        i += 1
     assert snap is not None and tr.index < 0
     return tr, snap
 
@@ -32,8 +23,8 @@ def _full_tracker(pages, entries=4, latency=20):
 def test_counting_and_reset():
     tr, snap = _full_tracker([5, 5, 9, 1])
     assert snap == (5, 5, 9)
-    log = CumulativeLog(owner_vm=0)
-    dur = handle_full([FullEvent(0, 0, snap)], {0: log}, {(0, 0): tr})
+    log = CumulativeLog()
+    dur = handle_full([FullEvent(0, snap)], log, {0: tr})
     assert log.counts == {5: 2, 9: 1}
     assert tr.index == 3
     assert dur == 3 * 20
@@ -42,10 +33,9 @@ def test_counting_and_reset():
 def test_two_vcpus_merged_in_one_invocation():
     tr_a, snap_a = _full_tracker([1, 2, 3, 0])
     tr_b, snap_b = _full_tracker([3, 3, 4, 0])
-    log = CumulativeLog(owner_vm=7)
-    events = [FullEvent(7, 0, snap_a), FullEvent(7, 1, snap_b)]
-    trackers = {(7, 0): tr_a, (7, 1): tr_b}
-    dur = handle_full(events, {7: log}, trackers)
+    log = CumulativeLog()
+    events = [FullEvent(0, snap_a), FullEvent(1, snap_b)]
+    dur = handle_full(events, log, {0: tr_a, 1: tr_b})
     assert log.counts == {1: 1, 2: 1, 3: 3, 4: 1}
     assert log.total == 6
     assert dur == 6 * 20
@@ -54,34 +44,34 @@ def test_two_vcpus_merged_in_one_invocation():
 
 def test_empty_event_list():
     log = CumulativeLog()
-    assert handle_full([], {0: log}, {}) == 0
+    assert handle_full([], log, {}) == 0
     assert log.total == 0 and log.counts == {}
 
 
 def test_rejects_tracker_not_stopped():
     tr = Tracker(TrackingConfig(mode=TrackingMode.PAML, buffer_entries=4))
     with pytest.raises(ProtocolError, match="no full event outstanding"):
-        handle_full([FullEvent(0, 0, (1, 2, 3))], {0: CumulativeLog()}, {(0, 0): tr})
+        handle_full([FullEvent(0, (1, 2, 3))], CumulativeLog(), {0: tr})
 
 
 def test_rejects_double_apply():
     tr, snap = _full_tracker([1, 2, 3, 0])
     log = CumulativeLog()
-    ev = FullEvent(0, 0, snap)
-    handle_full([ev], {0: log}, {(0, 0): tr})
+    ev = FullEvent(0, snap)
+    handle_full([ev], log, {0: tr})
     # force the stopped state again to isolate the idempotence guard
-    for i in range(4):
-        out = tr.observe(_walk(9, 100 + i), 100 + i)
+    for _ in range(4):
+        tr.observe_raw(9, False)
     assert tr.index < 0
     with pytest.raises(ProtocolError, match="already applied"):
-        handle_full([ev], {0: log}, {(0, 0): tr})
+        handle_full([ev], log, {0: tr})
 
 
 def test_rejects_duplicate_tracker_in_batch():
     tr, snap = _full_tracker([1, 2, 3, 0])
-    events = [FullEvent(0, 0, snap), FullEvent(0, 0, snap[::-1])]
+    events = [FullEvent(0, snap), FullEvent(0, snap[::-1])]
     with pytest.raises(ProtocolError, match="two snapshots"):
-        handle_full(events, {0: CumulativeLog()}, {(0, 0): tr})
+        handle_full(events, CumulativeLog(), {0: tr})
 
 
 def test_batching_equivalence():
@@ -97,14 +87,13 @@ def test_batching_equivalence():
 
     batched = fresh(3)
     log_one = CumulativeLog()
-    events = [FullEvent(0, v, s) for v, s in enumerate(snaps)]
-    trackers = {(0, v): batched[v] for v in range(3)}
-    assert handle_full(events, {0: log_one}, trackers) == 0
+    events = [FullEvent(v, s) for v, s in enumerate(snaps)]
+    assert handle_full(events, log_one, dict(enumerate(batched))) == 0
 
     split = fresh(3)
     log_many = CumulativeLog()
     for v, s in enumerate(snaps):
-        handle_full([FullEvent(0, v, s)], {0: log_many}, {(0, v): split[v]})
+        handle_full([FullEvent(v, s)], log_many, {v: split[v]})
 
     assert log_one.counts == log_many.counts
     assert log_one.total == log_many.total == 9

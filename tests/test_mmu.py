@@ -2,25 +2,20 @@ import numpy as np
 import pytest
 
 from pagelog.errors import ValidationError
-from pagelog.mmu import TLB_HIT, TLB_WALK, TLB_WALK_DIRTY, Tlb, TlbConfig, WalkEvent
-from pagelog.trace import MemAccess, Op
+from pagelog.mmu import TLB_HIT, TLB_WALK, TLB_WALK_DIRTY, Tlb, TlbConfig
 
-
-def access(gppn, op=Op.READ, t=0, vcpu=0):
-    return MemAccess(t=t, vcpu=vcpu, gppn=gppn, op=op)
+READ, WRITE = False, True
 
 
 def test_first_touch_write_misses_and_sets_dirty():
-    tlb = Tlb()
-    walk = tlb.lookup(access(5, Op.WRITE))
-    assert walk is not None and walk.dirty_set
+    assert Tlb().lookup_raw(5, WRITE) == TLB_WALK_DIRTY
 
 
 def test_repeat_access_hits():
     tlb = Tlb()
-    assert tlb.lookup(access(5, Op.WRITE)) is not None
-    assert tlb.lookup(access(5, Op.WRITE)) is None
-    assert tlb.lookup(access(5, Op.READ)) is None
+    assert tlb.lookup_raw(5, WRITE) == TLB_WALK_DIRTY
+    assert tlb.lookup_raw(5, WRITE) == TLB_HIT
+    assert tlb.lookup_raw(5, READ) == TLB_HIT
 
 
 class _RefLruSets:
@@ -48,11 +43,10 @@ def test_lru_eviction_within_set():
     tlb = Tlb(TlbConfig(entries=64, ways=4))
     ref = _RefLruSets(64, 4)
     for p in range(1, 66):
-        tlb.lookup(access(p, Op.READ))
+        tlb.lookup_raw(p, READ)
         ref.touch(p)
     assert ref.touch(1) is False
-    walk = tlb.lookup(access(1, Op.READ))
-    assert walk is not None and not walk.dirty_set
+    assert tlb.lookup_raw(1, READ) == TLB_WALK
 
 
 def test_lru_model_agreement_random():
@@ -61,46 +55,25 @@ def test_lru_model_agreement_random():
     ref = _RefLruSets(16, 4)
     for _ in range(4000):
         p = int(rng.integers(0, 40))
-        got = tlb.lookup(access(p, Op.READ))
-        assert (got is None) == ref.touch(p)
+        assert (tlb.lookup_raw(p, READ) == TLB_HIT) == ref.touch(p)
 
 
 def test_write_to_clean_resident_page_walks():
     # A write must reach the page tables to set the dirty flag even when a
     # clean translation is resident; afterwards writes hit like reads.
     tlb = Tlb()
-    assert tlb.lookup(access(3, Op.READ)) is not None
-    walk = tlb.lookup(access(3, Op.WRITE))
-    assert walk is not None and walk.dirty_set
-    assert tlb.lookup(access(3, Op.WRITE)) is None
+    assert tlb.lookup_raw(3, READ) == TLB_WALK
+    assert tlb.lookup_raw(3, WRITE) == TLB_WALK_DIRTY
+    assert tlb.lookup_raw(3, WRITE) == TLB_HIT
 
 
 def test_dirty_persists_across_eviction():
     tlb = Tlb(TlbConfig(entries=4, ways=1))
-    assert tlb.lookup(access(0, Op.WRITE)).dirty_set
+    assert tlb.lookup_raw(0, WRITE) == TLB_WALK_DIRTY
     for p in range(4, 24, 4):  # same set as page 0, evicts it
-        tlb.lookup(access(p, Op.READ))
+        tlb.lookup_raw(p, READ)
     assert not tlb.resident(0)
-    walk = tlb.lookup(access(0, Op.WRITE))
-    assert walk is not None and not walk.dirty_set  # flag still set
-
-
-def test_clear_dirty_forces_rewalk():
-    tlb = Tlb()
-    assert tlb.lookup(access(5, Op.WRITE)).dirty_set
-    tlb.clear_dirty({5})
-    walk = tlb.lookup(access(5, Op.WRITE))
-    assert walk is not None and walk.dirty_set
-
-
-def test_clear_dirty_empty_and_subset():
-    tlb = Tlb()
-    for p in (1, 2, 3):
-        tlb.lookup(access(p, Op.WRITE))
-    tlb.clear_dirty(set())
-    assert tlb.dirty_pages() == {1, 2, 3}
-    tlb.clear_dirty({2})
-    assert tlb.dirty_pages() == {1, 3}
+    assert tlb.lookup_raw(0, WRITE) == TLB_WALK  # flag still set
 
 
 def test_capacity_and_partition_invariants():
@@ -110,49 +83,33 @@ def test_capacity_and_partition_invariants():
     n = 5000
     for i in range(n):
         p = int(rng.integers(0, 200))
-        op = Op.WRITE if rng.integers(0, 2) else Op.READ
-        tlb.lookup(access(p, op))
+        tlb.lookup_raw(p, bool(rng.integers(0, 2)))
         assert tlb.occupancy() <= cfg.entries
         assert max(tlb.set_sizes()) <= cfg.ways
     assert tlb.hits + tlb.misses == n
 
 
 def test_dirty_set_once_per_page_between_clears():
+    # Flags are never cleared, so a page takes at most one dirty walk over
+    # the TLB's lifetime, and only writes take one.
     tlb = Tlb(TlbConfig(entries=8, ways=2))
     rng = np.random.default_rng(9)
     seen_dirty: set[int] = set()
     for i in range(3000):
         p = int(rng.integers(0, 30))
-        op = Op.WRITE if rng.integers(0, 2) else Op.READ
-        walk = tlb.lookup(access(p, op))
-        if walk is not None and walk.dirty_set:
-            assert p not in seen_dirty
-            seen_dirty.add(p)
-        if rng.integers(0, 100) < 3:
-            victim = int(rng.integers(0, 30))
-            tlb.clear_dirty({victim})
-            seen_dirty.discard(victim)
-
-
-def test_lookup_object_matches_raw_codes():
-    a, b = Tlb(TlbConfig(entries=8, ways=4)), Tlb(TlbConfig(entries=8, ways=4))
-    rng = np.random.default_rng(11)
-    for _ in range(2000):
-        p = int(rng.integers(0, 25))
         is_write = bool(rng.integers(0, 2))
-        code = a.lookup_raw(p, is_write)
-        walk = b.lookup(access(p, Op.WRITE if is_write else Op.READ))
-        if code == TLB_HIT:
-            assert walk is None
-        elif code == TLB_WALK:
-            assert walk is not None and not walk.dirty_set
-        else:
-            assert code == TLB_WALK_DIRTY and walk is not None and walk.dirty_set
+        if tlb.lookup_raw(p, is_write) == TLB_WALK_DIRTY:
+            assert is_write and p not in seen_dirty
+            seen_dirty.add(p)
 
 
 def test_walk_event_invariant():
-    with pytest.raises(ValidationError, match="dirty_set"):
-        WalkEvent(access=access(1, Op.READ), dirty_set=True)
+    # Only a write can set the dirty flag: reads never take a dirty walk.
+    tlb = Tlb(TlbConfig(entries=8, ways=4))
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        assert tlb.lookup_raw(int(rng.integers(0, 25)), READ) in (TLB_HIT, TLB_WALK)
+        tlb.lookup_raw(int(rng.integers(0, 25)), WRITE)
 
 
 @pytest.mark.parametrize(

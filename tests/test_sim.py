@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import reference_run
 
 from pagelog.errors import ValidationError
 from pagelog.estimator import EstimatorParams
-from pagelog.mmu import Tlb, TlbConfig
+from pagelog.mmu import TLB_HIT, Tlb, TlbConfig
 from pagelog.sim import (
     ESTIMATOR_ORACLE,
     ESTIMATOR_PML,
@@ -138,6 +140,43 @@ def test_engine_matches_reference_composition():
         assert [(o.t_ns, o.hot_pages, o.distinct_pages) for o in out.observations] == ref.observations
 
 
+@st.composite
+def multi_vcpu_runs(draw):
+    """A random 1-4-vCPU trace with sparse vCPU ids, plus engine settings."""
+    vcpu_ids = draw(st.lists(st.integers(0, 1000), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(1, 300))
+    n_pages = draw(st.integers(1, 80))
+    gaps = draw(st.lists(st.sampled_from([0, 1, 10, 100]), min_size=n, max_size=n))
+    vcpu = draw(st.lists(st.sampled_from(vcpu_ids), min_size=n, max_size=n))
+    gppn = draw(st.lists(st.integers(0, n_pages - 1), min_size=n, max_size=n))
+    is_write = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    trace = Trace(np.cumsum(gaps), np.array(vcpu), np.array(gppn), np.array(is_write))
+    tracking = TrackingConfig(
+        mode=draw(st.sampled_from([TrackingMode.PML, TrackingMode.PAML])),
+        buffer_entries=draw(st.sampled_from([2, 4, 8, 32, 512])),
+        handler_latency_per_entry_ns=draw(st.sampled_from([0, 1, 20, 100])),
+    )
+    entries, ways = draw(st.sampled_from([(4, 1), (16, 4), (64, 4), (8, 8)]))
+    mu_ns = max(1, max(trace.span_ns, 7) // 7)
+    params = EstimatorParams(tau=draw(st.integers(1, 5)), mu_s=mu_ns / 1e9,
+                             omega_s=3 * mu_ns / 1e9)
+    return trace, tracking, TlbConfig(entries=entries, ways=ways), params
+
+
+@settings(max_examples=150, deadline=None)
+@given(multi_vcpu_runs())
+def test_multi_vcpu_engine_matches_reference(case):
+    from pagelog.sim import _simulate
+
+    trace, tracking, tlb, params = case
+    out = _simulate(trace, tracking, tlb, params)
+    ref = reference_run(trace, tracking, tlb, params)
+    assert out.walks == ref.walks
+    assert out.stats == ref.stats
+    assert out.log.counts == ref.log.counts
+    assert [(o.t_ns, o.hot_pages, o.distinct_pages) for o in out.observations] == ref.observations
+
+
 def test_dropped_hot_pages_reappear_with_enough_repetition():
     # Stationary cyclic workload with a deliberately slow handler: pages are
     # dropped while the buffer is stopped yet still cross the hot threshold.
@@ -165,9 +204,9 @@ def test_prl_equals_walk_oracle_when_nothing_is_missed():
     trace = generate(wl)
     tlb = Tlb(TlbConfig())
     walk_counts: dict[int, int] = {}
-    for access in trace:
-        if tlb.lookup(access) is not None:
-            walk_counts[access.gppn] = walk_counts.get(access.gppn, 0) + 1
+    for gppn, is_write in zip(trace.gppn.tolist(), trace.is_write.tolist()):
+        if tlb.lookup_raw(gppn, is_write) != TLB_HIT:
+            walk_counts[gppn] = walk_counts.get(gppn, 0) + 1
     walk_oracle = sum(1 for c in walk_counts.values() if c >= 50)
 
     est = rep.estimates[ESTIMATOR_PRL]
@@ -364,6 +403,21 @@ def test_parse_trace_path_resolved_and_loaded(tmp_path):
     assert rep.trace_len == len(trace)
     assert rep.ground_truth_wss_pages == 40
     assert rep.allocated_pages == 40  # max gppn + 1
+
+
+@pytest.mark.parametrize("value", ["1e-10", "0", "nan", "inf"])
+def test_parse_rejects_vmware_period_below_1ns(value):
+    # A period that rounds to 0 ns used to hang estimate_vmware; it is now
+    # rejected even when the vmware estimator is not enabled.
+    text = f"workload.pattern = rwrw\nworkload.n_pages = 8\nvmware.period_s = {value}\n"
+    with pytest.raises(ValidationError, match="period_s"):
+        parse_scenario_text(text)
+
+
+def test_parse_rejects_vmware_sample_size_below_1():
+    text = "workload.pattern = rwrw\nworkload.n_pages = 8\nvmware.sample_size = 0\n"
+    with pytest.raises(ValidationError, match="sample_size"):
+        parse_scenario_text(text)
 
 
 def test_parse_bad_values():

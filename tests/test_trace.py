@@ -5,8 +5,6 @@ import pytest
 
 from pagelog.errors import TraceParseError, ValidationError
 from pagelog.trace import (
-    MemAccess,
-    Op,
     Pattern,
     Trace,
     WorkloadSpec,
@@ -186,9 +184,3 @@ def test_trace_constructor_rejects_decreasing_time():
     with pytest.raises(ValidationError, match="t"):
         Trace(np.array([5, 4]), np.zeros(2), np.array([1, 2]), np.zeros(2, dtype=bool))
 
-
-def test_iteration_yields_accesses():
-    tr = Trace(np.array([0, 100]), np.array([0, 0]), np.array([9, 9]), np.array([False, True]))
-    accesses = list(tr)
-    assert accesses[0] == MemAccess(t=0, vcpu=0, gppn=9, op=Op.READ)
-    assert accesses[1].op is Op.WRITE

@@ -2,19 +2,15 @@ import numpy as np
 import pytest
 
 from pagelog.errors import ProtocolError, ValidationError
-from pagelog.mmu import WalkEvent
 from pagelog.tracker import (
-    Outcome,
+    OBS_DROPPED,
+    OBS_FULL,
+    OBS_IGNORED,
+    OBS_LOGGED,
     Tracker,
     TrackingConfig,
     TrackingMode,
 )
-from pagelog.trace import MemAccess, Op
-
-
-def walk(gppn, dirty=False, t=0):
-    op = Op.WRITE if dirty else Op.READ
-    return WalkEvent(access=MemAccess(t=t, vcpu=0, gppn=gppn, op=op), dirty_set=dirty)
 
 
 def paml(entries=512, **kw):
@@ -27,13 +23,13 @@ def pml(entries=512, **kw):
 
 def test_pml_ignores_clean_walks():
     tr = pml()
-    assert tr.observe(walk(9, dirty=False), 0) is Outcome.IGNORED
+    assert tr.observe_raw(9, False) == OBS_IGNORED
     assert tr.stats().logged == 0
 
 
 def test_paml_logs_read_walk_at_top_slot():
     tr = paml()
-    assert tr.observe(walk(9, dirty=False), 0) is Outcome.LOGGED
+    assert tr.observe_raw(9, False) == OBS_LOGGED
     state = tr.buffer_state()
     assert state.slots[511] == 9
     assert state.index == 510
@@ -42,16 +38,16 @@ def test_paml_logs_read_walk_at_top_slot():
 def test_paml_full_event_semantics():
     tr = paml(entries=8)
     for i in range(7):
-        assert tr.observe(walk(100 + i), i) is Outcome.LOGGED
+        assert tr.observe_raw(100 + i, False) == OBS_LOGGED
     assert tr.index == 0
-    assert tr.observe(walk(999), 7) is Outcome.FULL
+    assert tr.observe_raw(999, False) == OBS_FULL
     snap = tr.take_full_snapshot()
     assert tr.index == -1
     assert 999 not in snap
     assert snap == tuple(100 + i for i in range(7))
     assert tr.stats().missed_gpas == 0
     # next walk before reset is dropped and counted
-    assert tr.observe(walk(55), 8) is Outcome.DROPPED
+    assert tr.observe_raw(55, False) == OBS_DROPPED
     assert tr.stats().missed_gpas == 1
     assert tr.stats().full_events == 1
 
@@ -59,7 +55,7 @@ def test_paml_full_event_semantics():
 def test_reset_index_protocol():
     tr = paml(entries=8)
     for i in range(8):
-        tr.observe(walk(i), i)
+        tr.observe_raw(i, False)
     assert tr.index == -1
     tr.reset_index()
     assert tr.index == 7
@@ -70,7 +66,7 @@ def test_reset_index_protocol():
 def test_reset_index_default_size():
     tr = paml()
     for i in range(512):
-        tr.observe(walk(i), i)
+        tr.observe_raw(i, False)
     tr.take_full_snapshot()
     assert tr.index == -1
     tr.reset_index()
@@ -84,9 +80,9 @@ def test_fresh_tracker_stats_zero():
 
 def test_pml_full_round_of_512():
     tr = pml(vmexit_cost_ns=4000)
-    outcomes = [tr.observe(walk(i, dirty=True), i) for i in range(512)]
-    assert outcomes[:-1] == [Outcome.LOGGED] * 511
-    assert outcomes[-1] is Outcome.FULL
+    outcomes = [tr.observe_raw(i, True) for i in range(512)]
+    assert outcomes[:-1] == [OBS_LOGGED] * 511
+    assert outcomes[-1] == OBS_FULL
     snap = tr.take_full_snapshot()
     assert len(snap) == 512
     assert snap == tuple(range(512))  # log order
@@ -100,8 +96,8 @@ def test_pml_full_round_of_512():
 def test_paml_round_logs_511():
     tr = paml()
     for i in range(511):
-        assert tr.observe(walk(i), i) is Outcome.LOGGED
-    assert tr.observe(walk(511), 511) is Outcome.FULL
+        assert tr.observe_raw(i, False) == OBS_LOGGED
+    assert tr.observe_raw(511, False) == OBS_FULL
     s = tr.stats()
     assert s.full_events == 1
     assert s.logged == 511
@@ -115,8 +111,8 @@ def test_paml_conservation_random():
         walks = int(rng.integers(1, 400))
         fulls_seen = 0
         for i in range(walks):
-            out = tr.observe(walk(int(rng.integers(0, 50))), i)
-            if out is Outcome.FULL:
+            out = tr.observe_raw(int(rng.integers(0, 50)), False)
+            if out == OBS_FULL:
                 tr.take_full_snapshot()
                 fulls_seen += 1
             # reset with random delay: sometimes immediately, sometimes later
@@ -147,9 +143,9 @@ def test_pml_log_set_subset_of_paml():
     logged = {TrackingMode.PML: set(), TrackingMode.PAML: set()}
     for mode in (TrackingMode.PML, TrackingMode.PAML):
         tr = Tracker(TrackingConfig(mode=mode, buffer_entries=16))
-        for i, (p, ds, _w) in enumerate(stream):
-            out = tr.observe(walk(p, dirty=ds, t=i), i)
-            if out is Outcome.FULL:
+        for p, ds, _w in stream:
+            out = tr.observe_raw(p, ds)
+            if out == OBS_FULL:
                 logged[mode].update(tr.take_full_snapshot())
                 if tr.index < 0:
                     tr.reset_index()
@@ -163,14 +159,7 @@ def test_pml_log_set_subset_of_paml():
 def test_observe_off_is_an_error():
     tr = Tracker(TrackingConfig(mode=TrackingMode.OFF))
     with pytest.raises(ProtocolError, match="off"):
-        tr.observe(walk(1), 0)
-
-
-def test_observe_time_must_not_go_backwards():
-    tr = paml()
-    tr.observe(walk(1), 100)
-    with pytest.raises(ProtocolError, match="backwards"):
-        tr.observe(walk(2), 99)
+        tr.observe_raw(1, False)
 
 
 def test_take_snapshot_requires_full_event():
@@ -181,7 +170,7 @@ def test_take_snapshot_requires_full_event():
 def test_drain_residual():
     tr = paml(entries=8)
     for i in range(3):
-        tr.observe(walk(10 + i), i)
+        tr.observe_raw(10 + i, False)
     assert tr.drain_residual() == (10, 11, 12)
     assert tr.index == 7
     assert tr.drain_residual() == ()
@@ -190,7 +179,7 @@ def test_drain_residual():
 def test_parameterized_buffer_reset():
     tr = paml(entries=8)
     for i in range(8):
-        tr.observe(walk(i), i)
+        tr.observe_raw(i, False)
     tr.reset_index()
     assert tr.index == 7
 
