@@ -144,12 +144,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a synthetic trace file")
     p_gen.add_argument("--pattern", required=True, help="wi | rwrw | rrww | wwrr")
     p_gen.add_argument("--pages", type=int, required=True, help="array size in pages")
-    p_gen.add_argument("--iters", type=int, default=1, help="number of passes")
-    p_gen.add_argument("--wi", type=int, default=50, help="write intensity percent (wi pattern)")
+    p_gen.add_argument("--iters", type=int, default=WorkloadSpec.d_iters, help="number of passes")
+    p_gen.add_argument("--wi", type=int, default=WorkloadSpec.wi,
+                       help="write intensity percent (wi pattern)")
     p_gen.add_argument("--hot", type=int, default=None, help="hot subset size (with --cold-prefix)")
     p_gen.add_argument("--cold-prefix", action="store_true", help="emit a full write pass first")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--gap", type=int, default=100, help="ns between accesses")
+    p_gen.add_argument("--seed", type=int, default=WorkloadSpec.seed)
+    p_gen.add_argument("--gap", type=int, default=WorkloadSpec.inter_access_gap_ns,
+                       help="ns between accesses")
     p_gen.add_argument("-o", "--output", required=True, help="trace file to write")
     p_gen.set_defaults(func=cmd_gen)
 

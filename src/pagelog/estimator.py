@@ -39,6 +39,8 @@ DEFAULT_MU_S = 30.0
 DEFAULT_OMEGA_S = 120.0
 DEFAULT_VMWARE_SAMPLE_SIZE = 100
 DEFAULT_VMWARE_PERIOD_S = 30.0
+# Upper bound on sampling periods per run; each costs about 36 us.
+MAX_VMWARE_PERIODS = 1_000_000
 
 _NS_PER_S = 1_000_000_000
 
@@ -167,13 +169,13 @@ def estimate_vmware(
 ) -> WssEstimate:
     """Sampling baseline over a trace feed.
 
-    Each period a fresh sample of ``sample_size`` pages is drawn uniformly
-    without replacement from the allocation; pages touched during their
-    period count as faulted, and the faulted fraction scales to
-    ``allocated_pages``. The reported value is the estimate of the last
-    period completed by ``until_ns`` (the caller passes the comparison
-    estimator's convergence instant); with no completed period, the open
-    period is evaluated at that instant.
+    Periods start at the trace's first access. Each period a fresh sample
+    of ``sample_size`` distinct pages is drawn uniformly from the
+    allocation; pages touched during their period count as faulted, and
+    the faulted fraction scales to ``allocated_pages``. The reported value
+    is the estimate of the last period completed by ``until_ns`` (the
+    caller passes the comparison estimator's convergence instant); with no
+    completed period, the open period is evaluated at that instant.
     """
     params.validate()
     if allocated_pages < 1:
@@ -183,29 +185,29 @@ def estimate_vmware(
     if sample_size > allocated_pages:
         raise ValidationError("sample_size: must not exceed allocated pages")
     period_ns = whole_ns("period_s", period_s)
-    if until_ns is None:
-        until_ns = int(trace.t[-1]) if len(trace) else 0
-
-    rng = np.random.default_rng(seed)
     t = trace.t
     g = trace.gppn
+    t0 = int(t[0]) if len(t) else 0  # periods start at the first access
+    if until_ns is None:
+        until_ns = int(t[-1]) if len(t) else 0
+    n_periods = (until_ns - t0) // period_ns  # periods completed by until_ns
+    if n_periods > MAX_VMWARE_PERIODS:
+        raise ValidationError(
+            f"vmware.period_s: {period_s!r} s needs {n_periods} sampling periods, "
+            f"more than {MAX_VMWARE_PERIODS}"
+        )
+
+    rng = np.random.default_rng(seed)
     per_period: list[int] = []
-    for k in range(until_ns // period_ns):  # periods completed by until_ns
-        start = k * period_ns
+    for k in range(max(n_periods, 1)):
+        start = t0 + k * period_ns
+        # With no completed period, the open one runs up to until_ns inclusive.
+        end = start + period_ns if n_periods > 0 else until_ns + 1
         sample = rng.choice(allocated_pages, size=sample_size, replace=False)
-        lo = int(np.searchsorted(t, start, side="left"))
-        hi = int(np.searchsorted(t, start + period_ns, side="left"))
+        lo, hi = np.searchsorted(t, (start, end), side="left")
         faulted = int(np.isin(sample, g[lo:hi]).sum())
         per_period.append(round(faulted / sample_size * allocated_pages))
-    if per_period:
-        wss = per_period[-1]
-    else:
-        sample = rng.choice(allocated_pages, size=sample_size, replace=False)
-        lo = int(np.searchsorted(t, 0, side="left"))
-        hi = int(np.searchsorted(t, until_ns, side="right"))
-        faulted = int(np.isin(sample, g[lo:hi]).sum()) if hi > lo else 0
-        wss = round(faulted / sample_size * allocated_pages)
-        per_period.append(wss)
+    wss = per_period[-1]
     return WssEstimate(
         wss_pages=wss,
         m_bytes=_m_bytes(wss, params),

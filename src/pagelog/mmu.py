@@ -28,6 +28,9 @@ TLB_HIT = 0
 TLB_WALK = 1
 TLB_WALK_DIRTY = 2
 
+# Upper bound on TLB entries; Tlb allocates every set up front.
+MAX_TLB_ENTRIES = 65536
+
 
 @dataclass(frozen=True)
 class TlbConfig:
@@ -35,17 +38,16 @@ class TlbConfig:
 
     entries: int = 64
     ways: int = 4
-    replacement: str = "lru"
 
     def validate(self) -> None:
         if self.ways < 1:
             raise ValidationError("ways: must be >= 1")
         if self.entries < self.ways:
             raise ValidationError("entries: must be >= ways")
+        if self.entries > MAX_TLB_ENTRIES:
+            raise ValidationError(f"entries: must be <= {MAX_TLB_ENTRIES}")
         if self.entries % self.ways != 0:
             raise ValidationError("entries: must be a multiple of ways")
-        if self.replacement != "lru":
-            raise ValidationError("replacement: only lru is implemented")
 
     @property
     def n_sets(self) -> int:

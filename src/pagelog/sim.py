@@ -30,14 +30,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ValidationError
 from .estimator import (
+    DEFAULT_VMWARE_PERIOD_S,
+    DEFAULT_VMWARE_SAMPLE_SIZE,
     EstimatorParams,
     WssEstimate,
     estimate_from_series,
@@ -54,7 +58,7 @@ from .tracker import (
     TrackingConfig,
     TrackingMode,
 )
-from .trace import Pattern, Trace, WorkloadSpec, generate, read_trace_file
+from .trace import Trace, WorkloadSpec, generate, read_trace_file
 
 ESTIMATOR_PRL = "prl"
 ESTIMATOR_PML = "pml"
@@ -75,8 +79,8 @@ class Scenario:
     estimators_enabled: frozenset = frozenset({ESTIMATOR_ORACLE})
     seed: int = 0
     vm_pages: Optional[int] = None
-    vmware_sample_size: int = 100
-    vmware_period_s: float = 30.0
+    vmware_sample_size: int = DEFAULT_VMWARE_SAMPLE_SIZE
+    vmware_period_s: float = DEFAULT_VMWARE_PERIOD_S
     name: str = "scenario"
 
     def validate(self) -> None:
@@ -111,6 +115,17 @@ class ObsPoint:
     distinct_pages: int
 
 
+def _csv_value(value) -> str:
+    """One CSV cell: floats to 9 decimals, booleans in lower case, None as empty."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.9f}"
+    return str(value)
+
+
 @dataclass
 class SimReport:
     """Per-run statistics and estimates."""
@@ -130,10 +145,6 @@ class SimReport:
     estimates: dict = field(default_factory=dict)
 
     @property
-    def vm_stall_ns(self) -> int:
-        return self.stats.vm_stall_ns
-
-    @property
     def vm_effective_runtime_ns(self) -> int:
         return self.span_ns + self.stats.vm_stall_ns
 
@@ -149,77 +160,44 @@ class SimReport:
             return 0.0
         return self.handler_busy_ns / self.span_ns * 100.0
 
-    @property
-    def missed_fraction(self) -> float:
-        if self.walks == 0:
-            return 0.0
-        return self.stats.missed_gpas / self.walks
+    def scalar_fields(self) -> list:
+        """``(name, value)`` of every scalar report field, in report order."""
+        s = self.stats
+        return [
+            ("scenario", self.scenario_name),
+            ("mode", self.mode),
+            ("trace_len", self.trace_len),
+            ("span_ns", self.span_ns),
+            ("walks", self.walks),
+            ("full_events", s.full_events),
+            ("missed_gpas", s.missed_gpas),
+            ("logged", s.logged),
+            ("vm_stall_ns", s.vm_stall_ns),
+            ("vm_effective_runtime_ns", self.vm_effective_runtime_ns),
+            ("overhead_percent", self.overhead_percent),
+            ("handler_busy_ns", self.handler_busy_ns),
+            ("pvm_utilization_percent", self.pvm_utilization_percent),
+            ("ground_truth_wss_pages", self.ground_truth_wss_pages),
+            ("allocated_pages", self.allocated_pages),
+            ("log_total", self.log_total),
+            ("log_distinct", self.log_distinct),
+        ]
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario_name,
-            "mode": self.mode,
-            "trace_len": self.trace_len,
-            "span_ns": self.span_ns,
-            "walks": self.walks,
-            "full_events": self.stats.full_events,
-            "missed_gpas": self.stats.missed_gpas,
-            "logged": self.stats.logged,
-            "vm_stall_ns": self.stats.vm_stall_ns,
-            "vm_effective_runtime_ns": self.vm_effective_runtime_ns,
-            "overhead_percent": self.overhead_percent,
-            "handler_busy_ns": self.handler_busy_ns,
-            "pvm_utilization_percent": self.pvm_utilization_percent,
-            "ground_truth_wss_pages": self.ground_truth_wss_pages,
-            "allocated_pages": self.allocated_pages,
-            "log_total": self.log_total,
-            "log_distinct": self.log_distinct,
-            "observations": [
-                {"t_ns": o.t_ns, "hot_pages": o.hot_pages, "distinct_pages": o.distinct_pages}
-                for o in self.observations
-            ],
-            "estimates": {
-                name: {
-                    "wss_pages": est.wss_pages,
-                    "m_bytes": est.m_bytes,
-                    "converged": est.converged,
-                    "converged_index": est.converged_index,
-                    "observations": list(est.observations),
-                }
-                for name, est in self.estimates.items()
-            },
-        }
+        d = dict(self.scalar_fields())
+        d["observations"] = [dataclasses.asdict(o) for o in self.observations]
+        d["estimates"] = {name: dataclasses.asdict(est) for name, est in self.estimates.items()}
+        return d
 
     def csv_rows(self) -> list:
         """Flat key,value rows for the report CSV."""
-        rows = [
-            ("scenario", self.scenario_name),
-            ("mode", self.mode),
-            ("trace_len", str(self.trace_len)),
-            ("span_ns", str(self.span_ns)),
-            ("walks", str(self.walks)),
-            ("full_events", str(self.stats.full_events)),
-            ("missed_gpas", str(self.stats.missed_gpas)),
-            ("logged", str(self.stats.logged)),
-            ("vm_stall_ns", str(self.stats.vm_stall_ns)),
-            ("vm_effective_runtime_ns", str(self.vm_effective_runtime_ns)),
-            ("overhead_percent", f"{self.overhead_percent:.9f}"),
-            ("handler_busy_ns", str(self.handler_busy_ns)),
-            ("pvm_utilization_percent", f"{self.pvm_utilization_percent:.9f}"),
-            (
-                "ground_truth_wss_pages",
-                "" if self.ground_truth_wss_pages is None else str(self.ground_truth_wss_pages),
-            ),
-            ("allocated_pages", str(self.allocated_pages)),
-            ("log_total", str(self.log_total)),
-            ("log_distinct", str(self.log_distinct)),
-        ]
+        rows = [(k, _csv_value(v)) for k, v in self.scalar_fields()]
         for name in ALL_ESTIMATORS:
             if name in self.estimates:
                 est = self.estimates[name]
-                rows.append((f"wss_{name}_pages", str(est.wss_pages)))
-                rows.append((f"wss_{name}_m_bytes", str(est.m_bytes)))
-                rows.append((f"wss_{name}_converged", str(est.converged).lower()))
+                rows.append((f"wss_{name}_pages", _csv_value(est.wss_pages)))
+                rows.append((f"wss_{name}_m_bytes", _csv_value(est.m_bytes)))
+                rows.append((f"wss_{name}_converged", _csv_value(est.converged)))
         return rows
 
     def summary_text(self) -> str:
@@ -262,8 +240,9 @@ def _simulate(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
     trackers = {v: Tracker(tracking) for v in vcpu_ids}
     observe = {v: tracker.observe_raw for v, tracker in trackers.items()}
 
+    n = len(trace)
     mu = params.mu_ns
-    next_obs = mu
+    next_obs = (int(trace.t[0]) if n else 0) + mu  # the clock starts at the first access
     observations: list[ObsPoint] = []
     pending: list[FullEvent] = []
     batch: Optional[list] = None
@@ -307,7 +286,6 @@ def _simulate(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
                 observations.append(ObsPoint(next_obs, log.hot_count, log.distinct_count))
                 next_obs += mu
 
-    n = len(trace)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         gs, ws, vs = trace.gppn[lo:hi], trace.is_write[lo:hi], trace.vcpu[lo:hi]
@@ -460,18 +438,11 @@ class PairedComparison:
     ground_truth_wss_pages: Optional[int]
 
     def csv_lines(self, with_scenario: bool = False) -> list:
-        header = "estimator,wss_pages,error_pages,full_events,missed_gpas,overhead_percent"
-        if with_scenario:
-            header = "scenario," + header
-        lines = [header]
+        names = [f.name for f in dataclasses.fields(PairedRow)]
+        prefix = [self.scenario_name] if with_scenario else []
+        lines = [",".join((["scenario"] if with_scenario else []) + names)]
         for r in self.rows:
-            line = (
-                f"{r.estimator},{r.wss_pages},{r.error_pages},"
-                f"{r.full_events},{r.missed_gpas},{r.overhead_percent:.9f}"
-            )
-            if with_scenario:
-                line = f"{self.scenario_name},{line}"
-            lines.append(line)
+            lines.append(",".join(prefix + [_csv_value(getattr(r, n)) for n in names]))
         return lines
 
 
@@ -531,32 +502,62 @@ def run_paired(scenario: Scenario, trace: Optional[Trace] = None) -> PairedCompa
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    try:
-        return _BOOL_VALUES[value.strip().lower()]
-    except KeyError:
-        raise ValidationError(f"{key}: expected a boolean, got {value!r}") from None
+def _parser(convert: Callable[[str], object], expected: str) -> Callable[[str, str], object]:
+    """A ``(key, text) -> value`` parser whose errors name the key."""
+    def parse(key: str, value: str):
+        try:
+            return convert(value)
+        except (KeyError, ValueError):
+            raise ValidationError(f"{key}: expected {expected}, got {value!r}") from None
+    return parse
 
 
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ValidationError(f"{key}: expected an integer, got {value!r}") from None
+_parse_bool = _parser(lambda value: _BOOL_VALUES[value.strip().lower()], "a boolean")
+_parse_int = _parser(int, "an integer")
+_parse_float = _parser(float, "a number")
 
 
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ValidationError(f"{key}: expected a number, got {value!r}") from None
+def _value_parser(hint) -> Callable[[str, str], object]:
+    """The text-to-value parser for one config field's type hint."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    hint = args[0] if args else hint  # Optional[X] parses as X
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return lambda key, value: hint.parse(value)
+    return {int: _parse_int, float: _parse_float, bool: _parse_bool}[hint]
+
+
+def _keys(section: str, cls) -> tuple:
+    """``(key, field name, parser)`` for each field of a config dataclass, in field order."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f"{section}.{f.name}", f.name, _value_parser(hints[f.name]))
+                 for f in dataclasses.fields(cls))
+
+
+# Every scenario key besides workload.trace and estimators, with its parser.
+# The dataclasses declare the keys of their sections and all defaults.
+_WORKLOAD_KEYS = _keys("workload", WorkloadSpec)
+_TRACKING_KEYS = _keys("tracking", TrackingConfig)
+_TLB_KEYS = _keys("tlb", TlbConfig)
+_ESTIMATOR_KEYS = _keys("estimator", EstimatorParams)
+_SCENARIO_KEYS = (
+    ("seed", "seed", _parse_int),
+    ("vm_pages", "vm_pages", _parse_int),
+    ("vmware.sample_size", "vmware_sample_size", _parse_int),
+    ("vmware.period_s", "vmware_period_s", _parse_float),
+)
+
+
+def _take(kv: dict, keys: tuple) -> dict:
+    """Parse and remove the keys present in ``kv``; absent ones keep their defaults."""
+    return {name: parse(key, kv.pop(key)) for key, name, parse in keys if key in kv}
 
 
 def parse_scenario_text(text: str, name: str = "scenario", base_dir: Optional[Path] = None) -> Scenario:
     """Parse the flat ``key = value`` scenario format.
 
-    Unknown keys are rejected so that typos fail loudly. ``workload.trace``
-    paths are resolved against ``base_dir`` when given.
+    Unknown keys are rejected so that typos fail loudly; an omitted key takes
+    its dataclass default. ``workload.trace`` paths are resolved against
+    ``base_dir`` when given.
     """
     kv: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -572,14 +573,12 @@ def parse_scenario_text(text: str, name: str = "scenario", base_dir: Optional[Pa
             raise ValidationError(f"scenario line {lineno}: duplicate key {key!r}")
         kv[key] = value
 
-    def pop(key, default=None):
-        return kv.pop(key, default)
-
-    seed = _parse_int("seed", pop("seed", "0"))
-
+    top = _take(kv, _SCENARIO_KEYS)
     workload = None
-    trace_path = pop("workload.trace")
+    trace_path = kv.pop("workload.trace", None)
     if trace_path is not None:
+        if "\0" in trace_path:
+            raise ValidationError("workload.trace: path contains a NUL byte")
         if base_dir is not None:
             trace_path = str((base_dir / trace_path).resolve())
         for k in list(kv):
@@ -588,43 +587,12 @@ def parse_scenario_text(text: str, name: str = "scenario", base_dir: Optional[Pa
     else:
         if "workload.pattern" not in kv or "workload.n_pages" not in kv:
             raise ValidationError("workload.pattern: required (with workload.n_pages) unless workload.trace is set")
-        hot = pop("workload.hot_pages")
-        workload = WorkloadSpec(
-            n_pages=_parse_int("workload.n_pages", pop("workload.n_pages")),
-            pattern=Pattern.parse(pop("workload.pattern")),
-            d_iters=_parse_int("workload.d_iters", pop("workload.d_iters", "1")),
-            wi=_parse_int("workload.wi", pop("workload.wi", "50")),
-            hot_pages=_parse_int("workload.hot_pages", hot) if hot is not None else None,
-            cold_prefix=_parse_bool("workload.cold_prefix", pop("workload.cold_prefix", "false")),
-            seed=_parse_int("workload.seed", pop("workload.seed", str(seed))),
-            inter_access_gap_ns=_parse_int(
-                "workload.inter_access_gap_ns", pop("workload.inter_access_gap_ns", "100")
-            ),
-        )
+        spec = _take(kv, _WORKLOAD_KEYS)
+        spec.setdefault("seed", top.get("seed", Scenario.seed))
+        workload = WorkloadSpec(**spec)
 
-    tracking = TrackingConfig(
-        mode=TrackingMode.parse(pop("tracking.mode", "paml")),
-        buffer_entries=_parse_int("tracking.buffer_entries", pop("tracking.buffer_entries", "512")),
-        vmexit_cost_ns=_parse_int("tracking.vmexit_cost_ns", pop("tracking.vmexit_cost_ns", "4000")),
-        handler_latency_per_entry_ns=_parse_int(
-            "tracking.handler_latency_per_entry_ns",
-            pop("tracking.handler_latency_per_entry_ns", "20"),
-        ),
-    )
-    tlb = TlbConfig(
-        entries=_parse_int("tlb.entries", pop("tlb.entries", "64")),
-        ways=_parse_int("tlb.ways", pop("tlb.ways", "4")),
-        replacement=pop("tlb.replacement", "lru").strip().lower(),
-    )
-    est = EstimatorParams(
-        tau=_parse_int("estimator.tau", pop("estimator.tau", "50")),
-        mu_s=_parse_float("estimator.mu_s", pop("estimator.mu_s", "30")),
-        omega_s=_parse_float("estimator.omega_s", pop("estimator.omega_s", "120")),
-        page_size=_parse_int("estimator.page_size", pop("estimator.page_size", "4096")),
-        epsilon_bytes=_parse_int("estimator.epsilon_bytes", pop("estimator.epsilon_bytes", "0")),
-    )
-
-    estimators_value = pop("estimators")
+    tracking = TrackingConfig(**_take(kv, _TRACKING_KEYS))
+    estimators_value = kv.pop("estimators", None)
     if estimators_value is None:
         native = ESTIMATOR_PML if tracking.mode is TrackingMode.PML else ESTIMATOR_PRL
         enabled = {ESTIMATOR_ORACLE}
@@ -633,19 +601,15 @@ def parse_scenario_text(text: str, name: str = "scenario", base_dir: Optional[Pa
     else:
         enabled = {e.strip().lower() for e in estimators_value.split(",") if e.strip()}
 
-    vm_pages_value = pop("vm_pages")
     scenario = Scenario(
         workload=workload,
         trace_path=trace_path,
         tracking=tracking,
-        tlb=tlb,
-        estimator=est,
+        tlb=TlbConfig(**_take(kv, _TLB_KEYS)),
+        estimator=EstimatorParams(**_take(kv, _ESTIMATOR_KEYS)),
         estimators_enabled=frozenset(enabled),
-        seed=seed,
-        vm_pages=_parse_int("vm_pages", vm_pages_value) if vm_pages_value is not None else None,
-        vmware_sample_size=_parse_int("vmware.sample_size", pop("vmware.sample_size", "100")),
-        vmware_period_s=_parse_float("vmware.period_s", pop("vmware.period_s", "30")),
         name=name,
+        **top,
     )
     if kv:
         raise ValidationError(f"unknown scenario key(s): {', '.join(sorted(kv))}")
@@ -655,7 +619,10 @@ def parse_scenario_text(text: str, name: str = "scenario", base_dir: Optional[Pa
 
 def load_scenario(path) -> Scenario:
     p = Path(path)
-    text = p.read_text(encoding="utf-8")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{p}: not UTF-8 text (byte {exc.start})") from None
     return parse_scenario_text(text, name=p.stem, base_dir=p.parent)
 
 

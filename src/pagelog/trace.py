@@ -211,6 +211,8 @@ def generate(spec: WorkloadSpec) -> Trace:
 # ---------------------------------------------------------------------------
 
 _WSS_SIDECAR = "#wss="
+_INT64_MAX = 2**63 - 1  # largest t and gppn the columns hold
+_INT32_MAX = 2**31 - 1  # largest vcpu
 
 
 def write_trace(trace: Trace, sink: BinaryIO) -> None:
@@ -273,6 +275,8 @@ def read_trace(source: BinaryIO) -> Trace:
             raise TraceParseError(f"bad op code {op!r} (expected R or W)", lineno)
         if t < 0 or vcpu < 0 or gppn < 0:
             raise TraceParseError("negative field", lineno)
+        if t > _INT64_MAX or gppn > _INT64_MAX or vcpu > _INT32_MAX:
+            raise TraceParseError("field out of range (t, gppn < 2^63; vcpu < 2^31)", lineno)
         if prev_t is not None and t < prev_t:
             raise TraceParseError("timestamps must be non-decreasing", lineno)
         prev_t = t

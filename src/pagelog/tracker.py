@@ -29,6 +29,8 @@ from .errors import ProtocolError, ValidationError
 DEFAULT_BUFFER_ENTRIES = 512
 DEFAULT_VMEXIT_COST_NS = 4000
 DEFAULT_HANDLER_LATENCY_PER_ENTRY_NS = 20
+# Upper bound on buffer entries; Tracker allocates every slot up front.
+MAX_BUFFER_ENTRIES = 65536
 
 
 class TrackingMode(Enum):
@@ -60,8 +62,8 @@ class TrackingConfig:
     handler_latency_per_entry_ns: int = DEFAULT_HANDLER_LATENCY_PER_ENTRY_NS
 
     def validate(self) -> None:
-        if self.buffer_entries < 2:
-            raise ValidationError("buffer_entries: must be >= 2")
+        if not 2 <= self.buffer_entries <= MAX_BUFFER_ENTRIES:
+            raise ValidationError(f"buffer_entries: must be within 2..{MAX_BUFFER_ENTRIES}")
         if self.vmexit_cost_ns < 0:
             raise ValidationError("vmexit_cost_ns: must be >= 0")
         if self.handler_latency_per_entry_ns < 0:

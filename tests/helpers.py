@@ -38,7 +38,7 @@ def reference_run(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
 
     mu = params.mu_ns
     tau = params.tau
-    next_obs = mu
+    next_obs = (int(trace.t[0]) if len(trace) else 0) + mu
     observations = []
     pending: list[FullEvent] = []
     batch = None

@@ -116,6 +116,22 @@ def test_run_invalid_scenario_exit1(tmp_path, capsys):
     assert "unknown scenario key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data,named",
+    [(b"workload.pattern = rwrw\nworkload.n_pages = 8 # \xe9t\xe9\n", "bad.scn"),
+     (b"workload.trace = t\x00.csv\n", "workload.trace"),
+     (b"workload.pattern = rwrw\nworkload.n_pages = 8\ntlb.replacement = lru\n",
+      "unknown scenario key")],
+    ids=["not-utf8", "nul-in-trace-path", "removed-tlb-replacement"],
+)
+def test_run_rejected_scenario_exit1(tmp_path, capsys, data, named):
+    # The first two used to end in a UnicodeDecodeError or ValueError traceback.
+    bad = tmp_path / "bad.scn"
+    bad.write_bytes(data)
+    assert main(["run", str(bad)]) == 1
+    assert named in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["estimator.mu_s", "vmware.period_s"])
 def test_run_interval_below_1ns_exit1(tmp_path, capsys, key):
     # Values rounding to 0 ns used to end in a ZeroDivisionError traceback
@@ -134,6 +150,15 @@ def test_run_bad_trace_file_exit2(tmp_path, capsys):
     scn.write_text("workload.trace = t.csv\n")
     assert main(["run", str(scn)]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+def test_run_trace_field_out_of_range_exit2(tmp_path, capsys):
+    # Used to end in an OverflowError traceback from numpy.
+    (tmp_path / "t.csv").write_text("0,0,1,R\n0,0,9223372036854775808,R\n")
+    scn = tmp_path / "s.scn"
+    scn.write_text("workload.trace = t.csv\n")
+    assert main(["run", str(scn)]) == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_compare_rows(scn, capsys):

@@ -114,7 +114,7 @@ def test_walk_event_invariant():
 
 @pytest.mark.parametrize(
     "entries,ways,field",
-    [(63, 4, "entries"), (2, 4, "entries"), (4, 0, "ways")],
+    [(63, 4, "entries"), (2, 4, "entries"), (4, 0, "ways"), (131072, 4, "entries")],
 )
 def test_config_validation(entries, ways, field):
     with pytest.raises(ValidationError, match=field):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import reference_run
 
 from pagelog.errors import ValidationError
-from pagelog.estimator import EstimatorParams
+from pagelog.estimator import DEFAULT_VMWARE_PERIOD_S, DEFAULT_VMWARE_SAMPLE_SIZE, EstimatorParams
 from pagelog.mmu import TLB_HIT, Tlb, TlbConfig
 from pagelog.sim import (
     ESTIMATOR_ORACLE,
@@ -375,6 +377,45 @@ def test_parse_defaults_and_seed_flows_to_workload():
     assert sc.estimator.tau == 50 and sc.estimator.mu_s == 30.0
 
 
+def test_minimal_scenario_takes_dataclass_defaults():
+    sc = parse_scenario_text("workload.pattern = rwrw\nworkload.n_pages = 8\n")
+    assert sc.workload == WorkloadSpec(n_pages=8, pattern=Pattern.RWRW)
+    assert sc.tracking == TrackingConfig()
+    assert sc.tlb == TlbConfig()
+    assert sc.estimator == EstimatorParams()
+    assert (sc.vmware_sample_size, sc.vmware_period_s) == (
+        DEFAULT_VMWARE_SAMPLE_SIZE, DEFAULT_VMWARE_PERIOD_S)
+
+
+SECTIONS = {"workload": WorkloadSpec, "tracking": TrackingConfig, "tlb": TlbConfig,
+            "estimator": EstimatorParams}
+
+
+@pytest.mark.parametrize(
+    "section,f",
+    [(section, f) for section, cls in SECTIONS.items() for f in dataclasses.fields(cls)],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_every_section_field_is_a_scenario_key(section, f):
+    kv = {"workload.pattern": "rwrw", "workload.n_pages": "8"}
+    if f.default is None:  # workload.hot_pages
+        kv[f"{section}.{f.name}"], want = "8", 8
+    elif f.default is not dataclasses.MISSING:
+        want = f.default
+        kv[f"{section}.{f.name}"] = str(getattr(want, "value", want))
+    sc = parse_scenario_text("".join(f"{k} = {v}\n" for k, v in kv.items()))
+    if f.default is not dataclasses.MISSING:
+        assert getattr(getattr(sc, section), f.name) == want
+
+
+@pytest.mark.parametrize("key", ["tlb.entries", "tracking.buffer_entries"])
+def test_parse_rejects_sizes_above_65536(key):
+    # Both are allocated up front; 10^9 entries used to pass validation.
+    text = f"workload.pattern = rwrw\nworkload.n_pages = 8\n{key} = 131072\n"
+    with pytest.raises(ValidationError, match=key.split(".")[1]):
+        parse_scenario_text(text)
+
+
 def test_parse_rejects_unknown_key():
     with pytest.raises(ValidationError, match="unknown scenario key"):
         parse_scenario_text("workload.pattern = rwrw\nworkload.n_pages = 8\nbogus = 1\n")
@@ -427,3 +468,38 @@ def test_parse_bad_values():
         parse_scenario_text("workload.pattern = rwrw\nworkload.n_pages = 8\nworkload.cold_prefix = maybe\n")
     with pytest.raises(ValidationError, match="integer"):
         parse_scenario_text("workload.pattern = rwrw\nworkload.n_pages = eight\n")
+
+
+def test_clock_starts_at_first_access():
+    # The same trace shifted to start at t = 1 s reports the same results at
+    # shifted instants. The observation clock and the vmware periods used to
+    # start at t = 0: 100,001 observations, prl converged at 0 pages before
+    # the first access, and vmware sampled 25 periods that held no access.
+    n, t0 = 100, 10**9
+    base = Trace(np.arange(n) * 1000, np.zeros(n), np.arange(n) % 20, np.arange(n) % 3 == 0)
+    shifted = Trace(base.t + t0, base.vcpu, base.gppn, base.is_write)
+    sc = Scenario(
+        workload=WorkloadSpec(n_pages=20, pattern=Pattern.RWRW),
+        tracking=TrackingConfig(mode=TrackingMode.PAML, buffer_entries=8),
+        tlb=TlbConfig(entries=4, ways=1),
+        estimator=EstimatorParams(tau=2, mu_s=1e-5, omega_s=4e-5),
+        estimators_enabled=frozenset({ESTIMATOR_PRL, ESTIMATOR_VMWARE, ESTIMATOR_ORACLE}),
+        vm_pages=20, vmware_sample_size=5, vmware_period_s=2e-6,
+    )
+    a, b = run(sc, trace=base), run(sc, trace=shifted)
+    assert len(a.observations) == len(b.observations) == 10
+    assert [(o.t_ns - t0, o.hot_pages, o.distinct_pages) for o in b.observations] == [
+        (o.t_ns, o.hot_pages, o.distinct_pages) for o in a.observations]
+    assert b.estimates == a.estimates
+    assert a.estimates[ESTIMATOR_PRL].wss_pages > 0
+
+
+def test_vmware_periods_bounded():
+    # 1,000,001 periods of 1 ns used to be walked one rng draw at a time.
+    sc = Scenario(
+        workload=WorkloadSpec(n_pages=2, pattern=Pattern.RWRW, inter_access_gap_ns=333_334),
+        estimators_enabled=frozenset({ESTIMATOR_VMWARE}),
+        vmware_sample_size=1, vmware_period_s=1e-9,
+    )
+    with pytest.raises(ValidationError, match="vmware.period_s"):
+        run(sc)

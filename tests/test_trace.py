@@ -175,6 +175,22 @@ def test_parse_error_field_count():
         read_trace(io.BytesIO(b"0,0,7\n"))
 
 
+@pytest.mark.parametrize(
+    "line",
+    [b"9223372036854775808,0,1,R", b"0,2147483648,1,R", b"0,0,9223372036854775808,R"],
+    ids=["t", "vcpu", "gppn"],
+)
+def test_parse_error_field_out_of_range(line):
+    # Values beyond the column's integer width used to raise OverflowError.
+    with pytest.raises(TraceParseError, match="line 2: field out of range"):
+        read_trace(io.BytesIO(b"0,0,1,R\n" + line + b"\n"))
+
+
+def test_parse_largest_in_range_fields():
+    tr = read_trace(io.BytesIO(b"9223372036854775807,2147483647,9223372036854775807,W\n"))
+    assert (tr.t[0], tr.vcpu[0], tr.gppn[0]) == (2**63 - 1, 2**31 - 1, 2**63 - 1)
+
+
 def test_parse_error_decreasing_time():
     with pytest.raises(TraceParseError, match="non-decreasing"):
         read_trace(io.BytesIO(b"5,0,1,R\n4,0,2,R\n"))

@@ -187,3 +187,10 @@ def test_parameterized_buffer_reset():
 def test_config_validation():
     with pytest.raises(ValidationError, match="buffer_entries"):
         Tracker(TrackingConfig(buffer_entries=1))
+
+
+def test_config_rejects_buffer_above_65536():
+    # The slots are allocated up front; 10^9 entries used to pass validation.
+    Tracker(TrackingConfig(buffer_entries=65536))
+    with pytest.raises(ValidationError, match="buffer_entries"):
+        Tracker(TrackingConfig(buffer_entries=65537))
