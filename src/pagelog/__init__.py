@@ -15,7 +15,7 @@ from .estimator import (
     estimate_oracle,
     estimate_vmware,
 )
-from .handler import CumulativeLog, FullEvent, handle_full
+from .handler import CumulativeLog, handle_full
 from .mmu import Tlb, TlbConfig
 from .sim import (
     PairedComparison,
@@ -36,7 +36,7 @@ from .trace import (
     write_trace,
     write_trace_file,
 )
-from .tracker import LogBuffer, Tracker, TrackerStats, TrackingConfig, TrackingMode
+from .tracker import Tracker, TrackerStats, TrackingConfig, TrackingMode
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "estimate_oracle",
     "estimate_vmware",
     "CumulativeLog",
-    "FullEvent",
     "handle_full",
     "Tlb",
     "TlbConfig",
@@ -70,7 +69,6 @@ __all__ = [
     "read_trace_file",
     "write_trace",
     "write_trace_file",
-    "LogBuffer",
     "Tracker",
     "TrackerStats",
     "TrackingConfig",

@@ -17,7 +17,6 @@ resolved against ``$PAGELOG_OUTDIR`` when that variable is set.
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -87,24 +86,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _compare_one(path: str):
-    scenario = load_scenario(path)
-    return run_paired(scenario)
-
-
-def compare_workers(requested: int, n_scenarios: int) -> int:
-    """Worker processes for ``compare``: at most one per scenario and per CPU."""
-    return max(1, min(requested, n_scenarios, os.cpu_count() or 1))
-
-
 def cmd_compare(args) -> int:
     paths = list(args.scenarios)
-    workers = compare_workers(args.parallel, len(paths))
-    if workers > 1:
-        with multiprocessing.Pool(processes=workers) as pool:
-            comparisons = pool.map(_compare_one, paths)
-    else:
-        comparisons = [_compare_one(p) for p in paths]
+    comparisons = [run_paired(load_scenario(p)) for p in paths]
     with_scenario = len(paths) > 1
     lines: list[str] = []
     for i, comparison in enumerate(comparisons):
@@ -164,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="paired estimator comparison")
     p_cmp.add_argument("scenarios", nargs="+", help="scenario file(s)")
     p_cmp.add_argument("-o", "--output", default=None, help="comparison CSV (default stdout)")
-    p_cmp.add_argument("--parallel", type=int, default=1,
-                       help="worker processes (at most one per scenario and CPU)")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_dist = sub.add_parser("dist", help="observation time series of a scenario")

@@ -20,8 +20,8 @@ class ProtocolError(RuntimeError):
     """A component was driven outside its legal state sequence.
 
     Raised e.g. for resetting a log index that is not pending a full event,
-    or re-applying an already-handled buffer snapshot. Indicates a bug in
-    the caller, not bad user input.
+    or folding a round that is not held. Indicates a bug in the caller, not
+    bad user input.
     """
 
 

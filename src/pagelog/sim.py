@@ -18,12 +18,12 @@ Virtual time comes exclusively from trace timestamps and configured costs;
 no wall clock is consulted anywhere, so identical scenarios produce
 identical reports.
 
-Write-only (PML) full events are handled synchronously: the VM is stalled,
-the buffer content lands in the cumulative log at the same instant, and the
-stall is charged to the VM's effective runtime. All-access (PAML) full
-events start an asynchronous handler invocation; the transfer becomes
-visible when the invocation's virtual duration elapses, and walks arriving
-in between are dropped and counted.
+Full rounds reach the cumulative log only through ``handle_full``. Write-only
+(PML) full events are handled synchronously: the VM is stalled, the round is
+folded at the same instant, and the stall is charged to the VM's effective
+runtime. All-access (PAML) full events are queued for an asynchronous
+handler invocation; the transfer becomes visible when the invocation's
+virtual duration elapses, and walks arriving in between are dropped.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .estimator import (
     estimate_vmware,
     whole_ns,
 )
-from .handler import CumulativeLog, FullEvent, batch_duration_ns, handle_full
+from .handler import CumulativeLog, batch_duration_ns, handle_full
 from .mmu import TLB_WALK_DIRTY, Tlb, TlbConfig
 from .tracker import (
     OBS_FULL,
@@ -226,6 +226,8 @@ class _EngineOutput(NamedTuple):
     handler_busy_ns: int
 
 
+# Upper bound on observations per run, as MAX_VMWARE_PERIODS bounds periods.
+MAX_OBSERVATIONS = 1_000_000
 _CHUNK = 1 << 19  # accesses per walk stage
 _NEVER = 1 << 62  # busy_until while no handler batch is running
 
@@ -234,7 +236,7 @@ def _simulate(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
               params: EstimatorParams) -> _EngineOutput:
     """Replay the trace through the hardware model: walk stage, then event loop."""
     synchronous = tracking.mode is TrackingMode.PML
-    log = CumulativeLog(hot_threshold=params.tau)
+    log = CumulativeLog(params.tau)
     vcpu_ids = np.unique(trace.vcpu).tolist()
     tlbs = {v: Tlb(tlb_config) for v in vcpu_ids}
     trackers = {v: Tracker(tracking) for v in vcpu_ids}
@@ -244,14 +246,14 @@ def _simulate(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
     mu = params.mu_ns
     next_obs = (int(trace.t[0]) if n else 0) + mu  # the clock starts at the first access
     observations: list[ObsPoint] = []
-    pending: list[FullEvent] = []
+    pending: list[int] = []  # vCPUs whose held rounds await a handler batch
     batch: Optional[list] = None
     busy_until = _NEVER
     handler_busy_ns = 0
     walks = 0
 
     def start_batch(now: int) -> None:
-        """Hand every pending full event to one handler invocation."""
+        """Hand every pending held round to one handler invocation."""
         nonlocal batch, busy_until, handler_busy_ns
         batch = pending[:]
         pending.clear()
@@ -306,11 +308,10 @@ def _simulate(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
             if busy_until < t or next_obs < t:
                 fire_due(t)
             if observe[v](g, d) == OBS_FULL:
-                snap = trackers[v].take_full_snapshot()
                 if synchronous:
-                    log.add_snapshot(snap)
+                    handle_full((v,), log, trackers)
                 else:
-                    pending.append(FullEvent(v, snap))
+                    pending.append(v)
                     if batch is None:
                         start_batch(t)
 
@@ -372,8 +373,14 @@ def run(scenario: Scenario, trace: Optional[Trace] = None) -> SimReport:
     enabled = scenario.estimators_enabled
 
     if mode is TrackingMode.OFF:
-        out = _EngineOutput(0, TrackerStats(), CumulativeLog(hot_threshold=params.tau), [], 0)
+        out = _EngineOutput(0, TrackerStats(), CumulativeLog(params.tau), [], 0)
     else:
+        n_obs = trace.span_ns // params.mu_ns
+        if n_obs > MAX_OBSERVATIONS:
+            raise ValidationError(
+                f"estimator.mu_s: {params.mu_s!r} s needs {n_obs} observations over the "
+                f"trace's span, more than {MAX_OBSERVATIONS}"
+            )
         out = _simulate(trace, scenario.tracking, scenario.tlb, params)
 
     estimates: dict[str, WssEstimate] = {}

@@ -86,6 +86,14 @@ class WorkloadSpec:
             raise ValidationError("hot_pages: must not exceed n_pages")
         if self.inter_access_gap_ns < 0:
             raise ValidationError("inter_access_gap_ns: must be >= 0")
+        # generate() emits the prefix, then 2 accesses per page and pass (1 for wi).
+        prefix, n_main = (self.n_pages, hot) if self.cold_prefix else (0, self.n_pages)
+        per_pass = (1 if self.pattern is Pattern.WRITE_INTENSITY else 2) * n_main
+        if (prefix + self.d_iters * per_pass - 1) * self.inter_access_gap_ns > _INT64_MAX:
+            raise ValidationError(
+                "workload.inter_access_gap_ns: the last timestamp (accesses - 1) x gap "
+                "exceeds 2^63-1 ns"
+            )
 
     @property
     def effective_hot_pages(self) -> int:
@@ -256,6 +264,8 @@ def read_trace(source: BinaryIO) -> Trace:
                     ground_truth = int(line[len(_WSS_SIDECAR):])
                 except ValueError:
                     raise TraceParseError("bad #wss sidecar value", lineno) from None
+                if ground_truth < 0:
+                    raise TraceParseError("negative #wss sidecar value", lineno)
             continue
         parts = line.split(",")
         if len(parts) != 4:

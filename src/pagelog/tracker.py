@@ -2,13 +2,16 @@
 
 Both modes share one mechanism: a fixed-size in-memory buffer of logged page
 numbers and a decrementing index register that starts at ``capacity - 1``.
-They differ in what gets logged and in who pays for a full buffer.
+The entries logged since the last reset form one round (``Tracker.round``,
+in log order). A full event stops the register at -1 and holds the round
+until the handler (:func:`pagelog.handler.handle_full`) folds it into the
+cumulative log and resets the index. The modes differ in what gets logged
+and in who pays for a full buffer.
 
-PML mode logs only walks that set a page's dirty flag. Entries fill slots
-``capacity-1`` down to ``0``; when the index decrements below zero the
-processor raises an exit handled on the VM's own CPU: the VM is stalled for
-``vmexit_cost_ns``, the buffer snapshot is handed over, and the index is
-reset before the VM resumes. No walk is ever lost.
+PML mode logs only walks that set a page's dirty flag. The walk that fills
+the last slot raises an exit handled on the VM's own CPU: the VM is stalled
+for ``vmexit_cost_ns`` and the round is folded before the VM resumes, so no
+walk is ever lost and a full round holds ``capacity`` entries.
 
 PAML mode logs every walk, read or write, regardless of the dirty flag. A
 full buffer is detected when the index reads zero *before* logging: the
@@ -22,14 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .errors import ProtocolError, ValidationError
 
 DEFAULT_BUFFER_ENTRIES = 512
 DEFAULT_VMEXIT_COST_NS = 4000
 DEFAULT_HANDLER_LATENCY_PER_ENTRY_NS = 20
-# Upper bound on buffer entries; Tracker allocates every slot up front.
+# Upper bound on buffer entries, and so on the length of one held round.
 MAX_BUFFER_ENTRIES = 65536
 
 
@@ -71,15 +73,6 @@ class TrackingConfig:
 
 
 @dataclass(frozen=True)
-class LogBuffer:
-    """Point-in-time view of the logging buffer and its index register."""
-
-    capacity: int
-    slots: tuple
-    index: int
-
-
-@dataclass(frozen=True)
 class TrackerStats:
     full_events: int = 0
     missed_gpas: int = 0
@@ -101,40 +94,36 @@ class Tracker:
     __slots__ = (
         "config",
         "_mode",
-        "_capacity",
-        "_slots",
+        "round",
         "index",
         "full_events",
         "missed_gpas",
         "logged",
         "vm_stall_ns",
-        "_pending_snapshot",
     )
 
     def __init__(self, config: TrackingConfig):
         config.validate()
         self.config = config
         self._mode = config.mode
-        self._capacity = config.buffer_entries
-        self._slots: list[int] = [0] * self._capacity
-        self.index = self._capacity - 1
+        self.round: list[int] = []
+        self.index = config.buffer_entries - 1
         self.full_events = 0
         self.missed_gpas = 0
         self.logged = 0
         self.vm_stall_ns = 0
-        self._pending_snapshot: Optional[tuple] = None
 
     def observe_raw(self, gppn: int, dirty_set: bool) -> int:
         """Feed one walk; returns an OBS_* code.
 
-        On OBS_FULL the transferred snapshot is available once via
-        :meth:`take_full_snapshot`.
+        On OBS_FULL the index is -1 and ``round`` is held until the handler
+        folds it and calls :meth:`reset_index`.
         """
         mode = self._mode
         if mode is TrackingMode.PAML:
             i = self.index
             if i > 0:
-                self._slots[i] = gppn
+                self.round.append(gppn)
                 self.index = i - 1
                 self.logged += 1
                 return OBS_LOGGED
@@ -142,9 +131,6 @@ class Tracker:
                 # Buffer detected full; the triggering page is not logged.
                 self.index = -1
                 self.full_events += 1
-                self._pending_snapshot = tuple(
-                    self._slots[j] for j in range(self._capacity - 1, 0, -1)
-                )
                 return OBS_FULL
             self.missed_gpas += 1
             return OBS_DROPPED
@@ -152,45 +138,38 @@ class Tracker:
             if not dirty_set:
                 return OBS_IGNORED
             i = self.index
-            self._slots[i] = gppn
-            self.logged += 1
-            i -= 1
             if i < 0:
-                # Synchronous exit on the VM's CPU: stall, hand over, reset.
-                self.full_events += 1
-                self.vm_stall_ns += self.config.vmexit_cost_ns
-                self._pending_snapshot = tuple(
-                    self._slots[j] for j in range(self._capacity - 1, -1, -1)
-                )
-                self.index = self._capacity - 1
-                return OBS_FULL
-            self.index = i
-            return OBS_LOGGED
+                raise ProtocolError("observe_raw: pml round held, the VM is stalled until it is folded")
+            self.round.append(gppn)
+            self.logged += 1
+            if i > 0:
+                self.index = i - 1
+                return OBS_LOGGED
+            # Synchronous exit on the VM's CPU: the VM stalls until the fold.
+            self.index = -1
+            self.full_events += 1
+            self.vm_stall_ns += self.config.vmexit_cost_ns
+            return OBS_FULL
         raise ProtocolError("observe_raw: tracking mode is off")
 
-    def take_full_snapshot(self) -> tuple:
-        """Return and consume the snapshot of the last full event, in log order."""
-        snap = self._pending_snapshot
-        if snap is None:
-            raise ProtocolError("take_full_snapshot: no full event pending")
-        self._pending_snapshot = None
-        return snap
-
     def reset_index(self) -> None:
-        """Resume logging after a PAML full event."""
+        """Start a new round once a held one has been folded."""
         if self.index >= 0:
             raise ProtocolError(f"reset_index: index is {self.index}, no full event outstanding")
-        self.index = self._capacity - 1
+        self.index = self.config.buffer_entries - 1
+        self.round = []
 
-    def drain_residual(self) -> tuple:
-        """Entries logged since the last reset, in log order; empties the round.
+    def drain_residual(self) -> list:
+        """Return the open round, in log order, and start a new one.
 
-        Used at end of run so that partially filled buffers are not lost.
+        Gives nothing while a round is held. Used for flush-on-query and at
+        end of run so that partially filled buffers are not lost.
         """
         if self.index < 0:
-            return ()
-        snap = tuple(self._slots[j] for j in range(self._capacity - 1, self.index, -1))
-        self.index = self._capacity - 1
+            return []
+        snap = self.round
+        self.round = []
+        self.index = self.config.buffer_entries - 1
         return snap
 
     def stats(self) -> TrackerStats:
@@ -200,9 +179,6 @@ class Tracker:
             logged=self.logged,
             vm_stall_ns=self.vm_stall_ns,
         )
-
-    def buffer_state(self) -> LogBuffer:
-        return LogBuffer(capacity=self._capacity, slots=tuple(self._slots), index=self.index)
 
 
 __all__ = [
@@ -215,7 +191,6 @@ __all__ = [
     "OBS_IGNORED",
     "OBS_FULL",
     "TrackingConfig",
-    "LogBuffer",
     "TrackerStats",
     "Tracker",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 from pagelog.estimator import EstimatorParams
-from pagelog.handler import CumulativeLog, FullEvent, batch_duration_ns, handle_full
+from pagelog.handler import CumulativeLog, batch_duration_ns, handle_full
 from pagelog.mmu import TLB_HIT, TLB_WALK_DIRTY, Tlb, TlbConfig
 from pagelog.tracker import (
     OBS_DROPPED,
@@ -31,7 +31,7 @@ def reference_run(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
                   params: EstimatorParams):
     mode = tracking.mode
     synchronous = mode is TrackingMode.PML
-    log = CumulativeLog()
+    log = CumulativeLog(params.tau)
     vcpus = sorted({int(v) for v in trace.vcpu.tolist()})
     tlbs = {v: Tlb(tlb_config) for v in vcpus}
     trackers = {v: Tracker(tracking) for v in vcpus}
@@ -40,7 +40,7 @@ def reference_run(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
     tau = params.tau
     next_obs = (int(trace.t[0]) if len(trace) else 0) + mu
     observations = []
-    pending: list[FullEvent] = []
+    pending: list[int] = []
     batch = None
     busy_until = 0
     walks = 0
@@ -84,11 +84,10 @@ def reference_run(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
         if outcome == OBS_DROPPED:
             dropped_pages.add(gppn)
         elif outcome == OBS_FULL:
-            snap = tracker.take_full_snapshot()
             if synchronous:
-                log.add_snapshot(snap)
+                handle_full((vcpu,), log, trackers)
             else:
-                pending.append(FullEvent(vcpu, snap))
+                pending.append(vcpu)
                 if batch is None:
                     batch = pending[:]
                     pending.clear()

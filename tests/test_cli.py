@@ -1,9 +1,8 @@
 import json
-import os
 
 import pytest
 
-from pagelog.cli import compare_workers, main
+from pagelog.cli import main
 
 SMALL_SCENARIO = """
 workload.pattern = rrww
@@ -121,11 +120,14 @@ def test_run_invalid_scenario_exit1(tmp_path, capsys):
     [(b"workload.pattern = rwrw\nworkload.n_pages = 8 # \xe9t\xe9\n", "bad.scn"),
      (b"workload.trace = t\x00.csv\n", "workload.trace"),
      (b"workload.pattern = rwrw\nworkload.n_pages = 8\ntlb.replacement = lru\n",
-      "unknown scenario key")],
-    ids=["not-utf8", "nul-in-trace-path", "removed-tlb-replacement"],
+      "unknown scenario key"),
+     (b"workload.pattern = rwrw\nworkload.n_pages = 8\n"
+      b"workload.inter_access_gap_ns = 9223372036854775808\n", "workload.inter_access_gap_ns")],
+    ids=["not-utf8", "nul-in-trace-path", "removed-tlb-replacement", "gap-past-int64"],
 )
 def test_run_rejected_scenario_exit1(tmp_path, capsys, data, named):
-    # The first two used to end in a UnicodeDecodeError or ValueError traceback.
+    # not-utf8, nul-in-trace-path and gap-past-int64 used to end in a
+    # UnicodeDecodeError, ValueError or OverflowError traceback.
     bad = tmp_path / "bad.scn"
     bad.write_bytes(data)
     assert main(["run", str(bad)]) == 1
@@ -221,24 +223,13 @@ def test_compare_deterministic_bytes(scn, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_compare_multiple_scenarios_and_parallel(scn, pml_scn, tmp_path):
-    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    assert main(["compare", scn, pml_scn, "-o", str(serial)]) == 0
-    assert main(["compare", scn, pml_scn, "--parallel", "2", "-o", str(parallel)]) == 0
-    text = serial.read_text()
+def test_compare_multiple_scenarios(scn, pml_scn, tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["compare", scn, pml_scn, "-o", str(out)]) == 0
+    text = out.read_text()
     assert text.splitlines()[0].startswith("scenario,estimator,")
     assert text.splitlines()[1].startswith("small,")
     assert len(text.strip().splitlines()) == 1 + 8
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
-def test_compare_workers_clamped_to_scenarios_and_cpus(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert compare_workers(64, 10) == 2
-    assert compare_workers(64, 1) == 1
-    assert compare_workers(0, 5) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert compare_workers(4, 4) == 1
 
 
 def test_dist_series_monotone_with_convergence_flag(scn, capsys):

@@ -1,106 +1,106 @@
 import pytest
 
 from pagelog.errors import ProtocolError
-from pagelog.handler import CumulativeLog, FullEvent, handle_full
+from pagelog.handler import CumulativeLog, batch_duration_ns, handle_full
 from pagelog.tracker import OBS_FULL, Tracker, TrackingConfig, TrackingMode
 
 
-def _full_tracker(pages, entries=4, latency=20):
-    """Drive a PAML tracker to its full event; returns (tracker, snapshot)."""
+def _full_tracker(pages, entries=4, latency=20, mode=TrackingMode.PAML):
+    """Drive a tracker to its full event; it then holds its round."""
     tr = Tracker(
-        TrackingConfig(
-            mode=TrackingMode.PAML, buffer_entries=entries, handler_latency_per_entry_ns=latency
-        )
+        TrackingConfig(mode=mode, buffer_entries=entries, handler_latency_per_entry_ns=latency)
     )
-    snap = None
-    for p in pages:
-        if tr.observe_raw(p, False) == OBS_FULL:
-            snap = tr.take_full_snapshot()
-    assert snap is not None and tr.index < 0
-    return tr, snap
+    outcomes = [tr.observe_raw(p, True) for p in pages]
+    assert outcomes[-1] == OBS_FULL and tr.index < 0
+    return tr
 
 
 def test_counting_and_reset():
-    tr, snap = _full_tracker([5, 5, 9, 1])
-    assert snap == (5, 5, 9)
-    log = CumulativeLog()
-    dur = handle_full([FullEvent(0, snap)], log, {0: tr})
+    tr = _full_tracker([5, 5, 9, 1])
+    assert tr.round == [5, 5, 9]
+    log = CumulativeLog(1)
+    assert batch_duration_ns([0], {0: tr}) == 3 * 20
+    handle_full([0], log, {0: tr})
     assert log.counts == {5: 2, 9: 1}
     assert tr.index == 3
-    assert dur == 3 * 20
+    assert tr.round == []
+
+
+def test_pml_round_folded_with_its_trigger():
+    tr = _full_tracker([5, 6, 7, 8], mode=TrackingMode.PML)
+    log = CumulativeLog(1)
+    handle_full((0,), log, {0: tr})
+    assert log.counts == {5: 1, 6: 1, 7: 1, 8: 1}
+    assert (tr.index, tr.round) == (3, [])
 
 
 def test_two_vcpus_merged_in_one_invocation():
-    tr_a, snap_a = _full_tracker([1, 2, 3, 0])
-    tr_b, snap_b = _full_tracker([3, 3, 4, 0])
-    log = CumulativeLog()
-    events = [FullEvent(0, snap_a), FullEvent(1, snap_b)]
-    dur = handle_full(events, log, {0: tr_a, 1: tr_b})
+    tr_a = _full_tracker([1, 2, 3, 0])
+    tr_b = _full_tracker([3, 3, 4, 0])
+    log = CumulativeLog(1)
+    trackers = {0: tr_a, 1: tr_b}
+    assert batch_duration_ns([0, 1], trackers) == 6 * 20
+    handle_full([0, 1], log, trackers)
     assert log.counts == {1: 1, 2: 1, 3: 3, 4: 1}
     assert log.total == 6
-    assert dur == 6 * 20
     assert tr_a.index == 3 and tr_b.index == 3
 
 
 def test_empty_event_list():
-    log = CumulativeLog()
-    assert handle_full([], log, {}) == 0
+    log = CumulativeLog(1)
+    assert batch_duration_ns([], {}) == 0
+    handle_full([], log, {})
     assert log.total == 0 and log.counts == {}
 
 
 def test_rejects_tracker_not_stopped():
     tr = Tracker(TrackingConfig(mode=TrackingMode.PAML, buffer_entries=4))
+    tr.observe_raw(1, False)
     with pytest.raises(ProtocolError, match="no full event outstanding"):
-        handle_full([FullEvent(0, (1, 2, 3))], CumulativeLog(), {0: tr})
+        handle_full([0], CumulativeLog(1), {0: tr})
 
 
 def test_rejects_double_apply():
-    tr, snap = _full_tracker([1, 2, 3, 0])
-    log = CumulativeLog()
-    ev = FullEvent(0, snap)
-    handle_full([ev], log, {0: tr})
-    # force the stopped state again to isolate the idempotence guard
-    for _ in range(4):
-        tr.observe_raw(9, False)
-    assert tr.index < 0
-    with pytest.raises(ProtocolError, match="already applied"):
-        handle_full([ev], log, {0: tr})
+    # A folded round is gone with its reset: folding again is rejected.
+    tr = _full_tracker([1, 2, 3, 0])
+    log = CumulativeLog(1)
+    handle_full([0], log, {0: tr})
+    with pytest.raises(ProtocolError, match="no full event outstanding"):
+        handle_full([0], log, {0: tr})
+    assert log.total == 3
 
 
 def test_rejects_duplicate_tracker_in_batch():
-    tr, snap = _full_tracker([1, 2, 3, 0])
-    events = [FullEvent(0, snap), FullEvent(0, snap[::-1])]
-    with pytest.raises(ProtocolError, match="two snapshots"):
-        handle_full(events, CumulativeLog(), {0: tr})
+    tr = _full_tracker([1, 2, 3, 0])
+    log = CumulativeLog(1)
+    with pytest.raises(ProtocolError, match="listed twice"):
+        handle_full([0, 0], log, {0: tr})
+    assert log.total == 0 and tr.index < 0  # nothing folded, round still held
 
 
 def test_batching_equivalence():
     # k events in one invocation vs k invocations: identical counts.
-    snaps = [(1, 2, 2), (2, 3, 4), (4, 4, 4)]
+    rounds = [(1, 2, 2), (2, 3, 4), (4, 4, 4)]
 
-    def fresh(n):
-        out = []
-        for i in range(n):
-            tr, _ = _full_tracker([0, 0, 0, 0], latency=0)
-            out.append(tr)
-        return out
+    def fresh():
+        return {v: _full_tracker([*r, 0], latency=0) for v, r in enumerate(rounds)}
 
-    batched = fresh(3)
-    log_one = CumulativeLog()
-    events = [FullEvent(v, s) for v, s in enumerate(snaps)]
-    assert handle_full(events, log_one, dict(enumerate(batched))) == 0
+    batched = fresh()
+    log_one = CumulativeLog(1)
+    assert batch_duration_ns(list(batched), batched) == 0
+    handle_full(list(batched), log_one, batched)
 
-    split = fresh(3)
-    log_many = CumulativeLog()
-    for v, s in enumerate(snaps):
-        handle_full([FullEvent(v, s)], log_many, {v: split[v]})
+    split = fresh()
+    log_many = CumulativeLog(1)
+    for v in split:
+        handle_full([v], log_many, split)
 
     assert log_one.counts == log_many.counts
     assert log_one.total == log_many.total == 9
 
 
 def test_count_conservation_total():
-    log = CumulativeLog()
+    log = CumulativeLog(1)
     log.add_snapshot((1, 1, 2))
     log.add_snapshot((2, 3))
     assert log.total == 5
@@ -117,6 +117,12 @@ def test_hot_count_tracks_threshold_crossings():
     assert log.hot_count == 1
     log.add_snapshot((7, 7))  # stays counted once
     assert log.hot_count == 1
-    assert log.pages_with_at_least(3) == 1
-    assert log.pages_with_at_least(5) == 1
-    assert log.pages_with_at_least(6) == 0
+    log.add_snapshot((8, 8, 8, 9))
+    assert log.hot_count == 2
+
+
+def test_hot_threshold_required_and_positive():
+    with pytest.raises(TypeError):
+        CumulativeLog()
+    with pytest.raises(ProtocolError, match="hot_threshold"):
+        CumulativeLog(0)

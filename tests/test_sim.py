@@ -179,6 +179,29 @@ def test_multi_vcpu_engine_matches_reference(case):
     assert [(o.t_ns, o.hot_pages, o.distinct_pages) for o in out.observations] == ref.observations
 
 
+@settings(max_examples=150, deadline=None)
+@given(multi_vcpu_runs())
+def test_conservation_laws_of_both_modes(case):
+    from pagelog.sim import _simulate
+
+    trace, tracking, tlb, params = case
+    out = _simulate(trace, tracking, tlb, params)
+    s = out.stats
+    assert out.log.total == s.logged
+    if tracking.mode is TrackingMode.PAML:
+        assert out.walks == s.logged + s.full_events + s.missed_gpas
+        assert s.vm_stall_ns == 0
+    else:
+        # Dirty flags are never cleared and each vCPU's TLB keeps its own.
+        written = {(v, g) for v, g, w in zip(trace.vcpu.tolist(), trace.gppn.tolist(),
+                                             trace.is_write.tolist()) if w}
+        assert s.logged == len(written)
+        # <=, not ==: every observation drains partial buffers (flush-on-query).
+        assert s.full_events <= s.logged // tracking.buffer_entries
+        assert s.vm_stall_ns == s.full_events * tracking.vmexit_cost_ns
+        assert s.missed_gpas == 0
+
+
 def test_dropped_hot_pages_reappear_with_enough_repetition():
     # Stationary cyclic workload with a deliberately slow handler: pages are
     # dropped while the buffer is stopped yet still cross the hot threshold.
@@ -503,3 +526,18 @@ def test_vmware_periods_bounded():
     )
     with pytest.raises(ValidationError, match="vmware.period_s"):
         run(sc)
+
+
+def test_observations_bounded():
+    # One observation per mu of span: 1,000,001 used to be built one by one,
+    # and a replayed 1 s trace with mu_s = 1e-9 would have asked for 1e9.
+    def scenario(gap_ns):
+        return Scenario(
+            workload=WorkloadSpec(n_pages=2, pattern=Pattern.WRITE_INTENSITY,
+                                  inter_access_gap_ns=gap_ns),
+            estimator=EstimatorParams(tau=1, mu_s=1e-6, omega_s=4e-6),
+        )
+
+    with pytest.raises(ValidationError, match="estimator.mu_s"):
+        run(scenario(1_000_001_000))
+    assert len(run(scenario(1_000_000_000)).observations) == 1_000_000 + 1

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -191,6 +192,12 @@ def test_parse_largest_in_range_fields():
     assert (tr.t[0], tr.vcpu[0], tr.gppn[0]) == (2**63 - 1, 2**31 - 1, 2**63 - 1)
 
 
+def test_parse_error_negative_wss_sidecar():
+    # Used to be accepted and reported as ground_truth=-5.
+    with pytest.raises(TraceParseError, match="line 1: negative #wss"):
+        read_trace(io.BytesIO(b"#wss=-5\n0,0,1,R\n"))
+
+
 def test_parse_error_decreasing_time():
     with pytest.raises(TraceParseError, match="non-decreasing"):
         read_trace(io.BytesIO(b"5,0,1,R\n4,0,2,R\n"))
@@ -200,3 +207,16 @@ def test_trace_constructor_rejects_decreasing_time():
     with pytest.raises(ValidationError, match="t"):
         Trace(np.array([5, 4]), np.zeros(2), np.array([1, 2]), np.zeros(2, dtype=bool))
 
+
+@pytest.mark.parametrize("cold_prefix", [False, True])
+@pytest.mark.parametrize("pattern", list(Pattern))
+def test_gap_bounded_by_int64_timestamps(pattern, cold_prefix):
+    # Past the bound, timestamps used to wrap to negative values (2^62) or
+    # generation ended in an OverflowError (2^63).
+    spec = WorkloadSpec(n_pages=5, pattern=pattern, d_iters=3, hot_pages=2, cold_prefix=cold_prefix)
+    n = len(generate(spec))
+    largest = dataclasses.replace(spec, inter_access_gap_ns=(2**63 - 1) // (n - 1))
+    assert generate(largest).t[-1] == (n - 1) * largest.inter_access_gap_ns
+    for gap in (largest.inter_access_gap_ns + 1, 2**62, 2**63):
+        with pytest.raises(ValidationError, match="workload.inter_access_gap_ns"):
+            generate(dataclasses.replace(spec, inter_access_gap_ns=gap))

@@ -30,9 +30,8 @@ def test_pml_ignores_clean_walks():
 def test_paml_logs_read_walk_at_top_slot():
     tr = paml()
     assert tr.observe_raw(9, False) == OBS_LOGGED
-    state = tr.buffer_state()
-    assert state.slots[511] == 9
-    assert state.index == 510
+    assert tr.round == [9]
+    assert tr.index == 510
 
 
 def test_paml_full_event_semantics():
@@ -41,15 +40,15 @@ def test_paml_full_event_semantics():
         assert tr.observe_raw(100 + i, False) == OBS_LOGGED
     assert tr.index == 0
     assert tr.observe_raw(999, False) == OBS_FULL
-    snap = tr.take_full_snapshot()
     assert tr.index == -1
-    assert 999 not in snap
-    assert snap == tuple(100 + i for i in range(7))
+    assert tr.round == [100 + i for i in range(7)]  # 999 is not logged
     assert tr.stats().missed_gpas == 0
     # next walk before reset is dropped and counted
     assert tr.observe_raw(55, False) == OBS_DROPPED
     assert tr.stats().missed_gpas == 1
     assert tr.stats().full_events == 1
+    assert tr.round == [100 + i for i in range(7)]  # held until folded
+    assert tr.drain_residual() == []
 
 
 def test_reset_index_protocol():
@@ -59,6 +58,7 @@ def test_reset_index_protocol():
     assert tr.index == -1
     tr.reset_index()
     assert tr.index == 7
+    assert tr.round == []
     with pytest.raises(ProtocolError, match="reset_index"):
         tr.reset_index()
 
@@ -67,7 +67,6 @@ def test_reset_index_default_size():
     tr = paml()
     for i in range(512):
         tr.observe_raw(i, False)
-    tr.take_full_snapshot()
     assert tr.index == -1
     tr.reset_index()
     assert tr.index == 511
@@ -83,14 +82,17 @@ def test_pml_full_round_of_512():
     outcomes = [tr.observe_raw(i, True) for i in range(512)]
     assert outcomes[:-1] == [OBS_LOGGED] * 511
     assert outcomes[-1] == OBS_FULL
-    snap = tr.take_full_snapshot()
-    assert len(snap) == 512
-    assert snap == tuple(range(512))  # log order
+    assert tr.round == list(range(512))  # log order, the trigger included
     s = tr.stats()
     assert s.full_events == 1
     assert s.logged == 512
     assert s.vm_stall_ns == 4000
-    assert tr.index == 511  # reset synchronously, VM was stalled
+    assert tr.index == -1  # held: the VM stays stalled until the fold
+    with pytest.raises(ProtocolError, match="round held"):
+        tr.observe_raw(600, True)
+    assert tr.observe_raw(600, False) == OBS_IGNORED
+    tr.reset_index()
+    assert (tr.index, tr.round) == (511, [])
 
 
 def test_paml_round_logs_511():
@@ -113,7 +115,7 @@ def test_paml_conservation_random():
         for i in range(walks):
             out = tr.observe_raw(int(rng.integers(0, 50)), False)
             if out == OBS_FULL:
-                tr.take_full_snapshot()
+                assert len(tr.round) == entries - 1
                 fulls_seen += 1
             # reset with random delay: sometimes immediately, sometimes later
             if tr.index < 0 and rng.integers(0, 3) == 0:
@@ -146,9 +148,8 @@ def test_pml_log_set_subset_of_paml():
         for p, ds, _w in stream:
             out = tr.observe_raw(p, ds)
             if out == OBS_FULL:
-                logged[mode].update(tr.take_full_snapshot())
-                if tr.index < 0:
-                    tr.reset_index()
+                logged[mode].update(tr.round)
+                tr.reset_index()
         logged[mode].update(tr.drain_residual())
 
     written = {p for p, _ds, w in stream if w}
@@ -162,18 +163,13 @@ def test_observe_off_is_an_error():
         tr.observe_raw(1, False)
 
 
-def test_take_snapshot_requires_full_event():
-    with pytest.raises(ProtocolError, match="no full event"):
-        paml().take_full_snapshot()
-
-
 def test_drain_residual():
     tr = paml(entries=8)
     for i in range(3):
         tr.observe_raw(10 + i, False)
-    assert tr.drain_residual() == (10, 11, 12)
+    assert tr.drain_residual() == [10, 11, 12]
     assert tr.index == 7
-    assert tr.drain_residual() == ()
+    assert tr.drain_residual() == []
 
 
 def test_parameterized_buffer_reset():
@@ -190,7 +186,7 @@ def test_config_validation():
 
 
 def test_config_rejects_buffer_above_65536():
-    # The slots are allocated up front; 10^9 entries used to pass validation.
+    # 10^9 entries used to pass validation.
     Tracker(TrackingConfig(buffer_entries=65536))
     with pytest.raises(ValidationError, match="buffer_entries"):
         Tracker(TrackingConfig(buffer_entries=65537))
