@@ -104,16 +104,14 @@ def cmd_dist(args) -> int:
     scenario = load_scenario(args.scenario)
     if scenario.tracking.mode is TrackingMode.OFF:
         raise ValidationError("mode: dist requires tracking mode pml or paml")
-    report = run(scenario)
-    if scenario.tracking.mode is TrackingMode.PML:
-        series = [o.distinct_pages for o in report.observations]
-    else:
-        series = [o.hot_pages for o in report.observations]
+    obs = run(scenario).observations
+    column = obs.distinct_pages if scenario.tracking.mode is TrackingMode.PML else obs.hot_pages
+    series = column.tolist()
     converged_index = estimate_from_series(series, scenario.estimator).converged_index
     lines = ["i,t_ns,dist,is_convergence_point"]
-    for i, obs in enumerate(report.observations):
+    for i, (t_ns, dist) in enumerate(zip(obs.t_ns.tolist(), series)):
         flag = 1 if i == converged_index else 0
-        lines.append(f"{i},{obs.t_ns},{series[i]},{flag}")
+        lines.append(f"{i},{t_ns},{dist},{flag}")
     _write_or_print("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -13,7 +13,7 @@ Once the flag is set, writes behave exactly like reads.
 
 Flags are never cleared, so each page takes at most one dirty walk per TLB,
 and a TLB's output depends on its access stream alone. Each vCPU has its
-own TLB and therefore its own flag table.
+own TLB and therefore its own flag table. A run's walk stage is ``walk_codes``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
+from .trace import Trace
 
 # Return codes of Tlb.lookup_raw; kept as plain ints for the hot path.
 TLB_HIT = 0
@@ -30,6 +33,7 @@ TLB_WALK_DIRTY = 2
 
 # Upper bound on TLB entries; Tlb allocates every set up front.
 MAX_TLB_ENTRIES = 65536
+_CHUNK = 1 << 19  # accesses per walk_codes step
 
 
 @dataclass(frozen=True)
@@ -57,17 +61,14 @@ class TlbConfig:
 class Tlb:
     """Set-associative LRU TLB plus the per-page dirty-flag table."""
 
-    __slots__ = ("config", "_n_sets", "_ways", "_sets", "_dirty", "hits", "misses")
+    __slots__ = ("_n_sets", "_ways", "_sets", "_dirty")
 
     def __init__(self, config: TlbConfig = TlbConfig()):
         config.validate()
-        self.config = config
         self._n_sets = config.n_sets
         self._ways = config.ways
         self._sets: list[OrderedDict[int, None]] = [OrderedDict() for _ in range(self._n_sets)]
         self._dirty: set[int] = set()
-        self.hits = 0
-        self.misses = 0
 
     def lookup_raw(self, gppn: int, is_write: bool) -> int:
         """Classify one access; returns TLB_HIT, TLB_WALK or TLB_WALK_DIRTY.
@@ -84,26 +85,34 @@ class Tlb:
                 if len(s) == self._ways:
                     s.popitem(last=False)
                 s[gppn] = None
-            self.misses += 1
             return TLB_WALK_DIRTY
         if gppn in s:
             s.move_to_end(gppn)
-            self.hits += 1
             return TLB_HIT
         if len(s) == self._ways:
             s.popitem(last=False)
         s[gppn] = None
-        self.misses += 1
         return TLB_WALK
 
-    def resident(self, gppn: int) -> bool:
-        return gppn in self._sets[gppn % self._n_sets]
 
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+def walk_codes(trace: Trace, tlb_config: TlbConfig) -> np.ndarray:
+    """One int8 ``TLB_*`` code per access: each vCPU's TLB over that vCPU's accesses.
 
-    def set_sizes(self) -> list[int]:
-        return [len(s) for s in self._sets]
+    Each TLB lives for the whole trace; chunks only bound the index columns.
+    """
+    vcpu_ids = np.unique(trace.vcpu).tolist()
+    tlbs = {v: Tlb(tlb_config) for v in vcpu_ids}
+    codes = np.empty(len(trace), dtype=np.int8)
+    for lo in range(0, len(trace), _CHUNK):
+        chunk = slice(lo, lo + _CHUNK)
+        gs, ws, vs = trace.gppn[chunk], trace.is_write[chunk], trace.vcpu[chunk]
+        for v in vcpu_ids:
+            mine = np.flatnonzero(vs == v)
+            codes[lo + mine] = np.fromiter(
+                map(tlbs[v].lookup_raw, gs[mine].tolist(), ws[mine].tolist()),
+                dtype=np.int8, count=len(mine),
+            )
+    return codes
 
 
 __all__ = [
@@ -112,4 +121,5 @@ __all__ = [
     "TLB_WALK_DIRTY",
     "TlbConfig",
     "Tlb",
+    "walk_codes",
 ]

@@ -4,13 +4,13 @@ One run replays a trace through per-vCPU TLBs; every walk feeds that vCPU's
 logging hardware; full buffers flow to the handler; the VM's cumulative log
 is observed every ``mu`` of virtual time to build the estimation series.
 
-The engine has two stages per chunk of the trace. The walk stage runs each
-vCPU's TLB over that vCPU's accesses and yields one outcome code per access.
-The event loop then runs once over the chunk's walks only. This split is
-exact: dirty flags are never cleared, so TLB outcomes do not depend on any
-tracker or handler state, and only walks change tracker, handler or log
-state, so due completions and observations fired before each walk come out
-the same as if they were fired before every access.
+The engine has two stages. The walk stage, ``mmu.walk_codes``, yields one
+TLB outcome per access, once per trace: dirty flags are never cleared, so
+the outcomes depend on no tracker or handler state, nor on the mode. The
+event loop then runs over the walks the mode can log, every walk in paml and
+dirty walks in pml (other walks are ignored and change no state). Only those
+walks change state, so due completions and observations fired before each
+of them come out the same as if they were fired before every access.
 
 Event ordering is fixed: within one virtual instant, VM accesses are
 processed first, then due handler completions, then estimator observations.
@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -50,7 +50,7 @@ from .estimator import (
     whole_ns,
 )
 from .handler import CumulativeLog, batch_duration_ns, handle_full
-from .mmu import TLB_WALK_DIRTY, Tlb, TlbConfig
+from .mmu import TLB_WALK_DIRTY, TlbConfig, walk_codes
 from .tracker import (
     OBS_FULL,
     Tracker,
@@ -106,13 +106,8 @@ class Scenario:
         whole_ns("vmware.period_s", self.vmware_period_s)
 
 
-@dataclass(frozen=True)
-class ObsPoint:
-    """One estimator observation: a snapshot of the cumulative log's counters."""
-
-    t_ns: int
-    hot_pages: int
-    distinct_pages: int
+# One row per estimator observation: its instant and the cumulative log's counters.
+OBS_DTYPE = np.dtype([("t_ns", np.int64), ("hot_pages", np.int64), ("distinct_pages", np.int64)])
 
 
 def _csv_value(value) -> str:
@@ -141,8 +136,8 @@ class SimReport:
     log_total: int
     log_distinct: int
     handler_busy_ns: int
-    observations: list = field(default_factory=list)
-    estimates: dict = field(default_factory=dict)
+    observations: np.recarray  # of OBS_DTYPE
+    estimates: dict
 
     @property
     def vm_effective_runtime_ns(self) -> int:
@@ -185,7 +180,7 @@ class SimReport:
 
     def to_json_dict(self) -> dict:
         d = dict(self.scalar_fields())
-        d["observations"] = [dataclasses.asdict(o) for o in self.observations]
+        d["observations"] = [dict(zip(OBS_DTYPE.names, o)) for o in self.observations.tolist()]
         d["estimates"] = {name: dataclasses.asdict(est) for name, est in self.estimates.items()}
         return d
 
@@ -222,35 +217,39 @@ class _EngineOutput(NamedTuple):
     walks: int
     stats: TrackerStats
     log: CumulativeLog
-    observations: list
+    observations: np.recarray
     handler_busy_ns: int
 
 
 # Upper bound on observations per run, as MAX_VMWARE_PERIODS bounds periods.
 MAX_OBSERVATIONS = 1_000_000
-_CHUNK = 1 << 19  # accesses per walk stage
+_CHUNK = 1 << 19  # accesses per event-loop step
 _NEVER = 1 << 62  # busy_until while no handler batch is running
 
 
-def _simulate(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
+def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
               params: EstimatorParams) -> _EngineOutput:
-    """Replay the trace through the hardware model: walk stage, then event loop."""
+    """Run the event loop over the walks in ``codes`` that the tracking mode can log."""
     synchronous = tracking.mode is TrackingMode.PML
     log = CumulativeLog(params.tau)
-    vcpu_ids = np.unique(trace.vcpu).tolist()
-    tlbs = {v: Tlb(tlb_config) for v in vcpu_ids}
-    trackers = {v: Tracker(tracking) for v in vcpu_ids}
+    trackers = {v: Tracker(tracking) for v in np.unique(trace.vcpu).tolist()}
     observe = {v: tracker.observe_raw for v, tracker in trackers.items()}
 
     n = len(trace)
     mu = params.mu_ns
     next_obs = (int(trace.t[0]) if n else 0) + mu  # the clock starts at the first access
-    observations: list[ObsPoint] = []
+    # The instants are known up front: every mu after the first access, then
+    # the end of the trace. The loop fills in the counters.
+    k = trace.span_ns // mu
+    observations = np.recarray(k + 1 if n else 0, dtype=OBS_DTYPE)
+    if k:
+        observations.t_ns[:k] = next_obs + mu * np.arange(k, dtype=np.int64)
+    hot, distinct = observations.hot_pages, observations.distinct_pages
+    filled = 0
     pending: list[int] = []  # vCPUs whose held rounds await a handler batch
     batch: Optional[list] = None
     busy_until = _NEVER
     handler_busy_ns = 0
-    walks = 0
 
     def start_batch(now: int) -> None:
         """Hand every pending held round to one handler invocation."""
@@ -269,7 +268,7 @@ def _simulate(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
 
     def fire_due(now: int) -> None:
         """Apply handler completions and observations strictly before ``now``."""
-        nonlocal batch, busy_until, next_obs
+        nonlocal batch, busy_until, next_obs, filled
         while True:
             ct = busy_until
             if ct >= now and next_obs >= now:
@@ -285,26 +284,15 @@ def _simulate(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
                     # demand (flush-on-query), so partially filled buffers are
                     # visible to the estimator, not only full ones.
                     drain_residuals()
-                observations.append(ObsPoint(next_obs, log.hot_count, log.distinct_count))
+                hot[filled], distinct[filled] = log.hot_count, log.distinct_count
+                filled += 1
                 next_obs += mu
 
     for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        gs, ws, vs = trace.gppn[lo:hi], trace.is_write[lo:hi], trace.vcpu[lo:hi]
-        # Walk stage: each vCPU's TLB over that vCPU's own accesses.
-        codes = np.empty(hi - lo, dtype=np.int8)
-        for v in vcpu_ids:
-            mine = np.flatnonzero(vs == v)
-            codes[mine] = np.fromiter(
-                map(tlbs[v].lookup_raw, gs[mine].tolist(), ws[mine].tolist()),
-                dtype=np.int8, count=len(mine),
-            )
-        # Event loop over the walks.
-        walk = np.flatnonzero(codes)
-        walks += len(walk)
-        dirty = codes[walk] == TLB_WALK_DIRTY
-        for t, g, v, d in zip(trace.t[lo:hi][walk].tolist(), gs[walk].tolist(),
-                              vs[walk].tolist(), dirty.tolist()):
+        chunk = codes[lo:lo + _CHUNK]
+        walk = lo + np.flatnonzero(chunk == TLB_WALK_DIRTY if synchronous else chunk)
+        for t, g, v, d in zip(trace.t[walk].tolist(), trace.gppn[walk].tolist(),
+                              trace.vcpu[walk].tolist(), (codes[walk] == TLB_WALK_DIRTY).tolist()):
             if busy_until < t or next_obs < t:
                 fire_due(t)
             if observe[v](g, d) == OBS_FULL:
@@ -330,18 +318,10 @@ def _simulate(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
         # Closing observation: the estimation process reads the fully drained
         # log once the workload ends, so traces shorter than a buffer round
         # (or an observation interval) still yield their final counts.
-        observations.append(ObsPoint(end_t, log.hot_count, log.distinct_count))
+        observations[k] = (end_t, log.hot_count, log.distinct_count)
 
-    stats = TrackerStats()
-    for tracker in trackers.values():
-        stats = stats.merged(tracker.stats())
-    return _EngineOutput(walks, stats, log, observations, handler_busy_ns)
-
-
-def _obtain_trace(scenario: Scenario) -> Trace:
-    if scenario.workload is not None:
-        return generate(scenario.workload)
-    return read_trace_file(scenario.trace_path)
+    stats = TrackerStats(*map(sum, zip(*(dataclasses.astuple(t.stats()) for t in trackers.values()))))
+    return _EngineOutput(int(np.count_nonzero(codes)), stats, log, observations, handler_busy_ns)
 
 
 def _allocated_pages(scenario: Scenario, trace: Trace) -> int:
@@ -352,50 +332,65 @@ def _allocated_pages(scenario: Scenario, trace: Trace) -> int:
     return trace.max_gppn + 1 if len(trace) else 1
 
 
-def run(scenario: Scenario, trace: Optional[Trace] = None) -> SimReport:
-    """Execute one scenario and assemble its report.
-
-    ``trace`` may be passed to reuse an already materialised workload (the
-    paired comparison does); it must match what the scenario would produce.
-    """
+def _checked(scenario: Scenario, trace: Optional[Trace]) -> tuple:
+    """Validate a run before any TLB work; returns ``(trace, allocated pages)``."""
     scenario.validate()
-    if trace is None:
-        trace = _obtain_trace(scenario)
+    if trace is None and scenario.workload is not None:
+        trace = generate(scenario.workload)
+    elif trace is None:
+        trace = read_trace_file(scenario.trace_path)
     allocated = _allocated_pages(scenario, trace)
     if len(trace) and trace.max_gppn >= allocated:
         raise ValidationError(
             f"vm_pages: trace references page {trace.max_gppn} outside the "
             f"{allocated}-page allocation"
         )
+    n_obs = trace.span_ns // scenario.estimator.mu_ns
+    if scenario.tracking.mode is not TrackingMode.OFF and n_obs > MAX_OBSERVATIONS:
+        raise ValidationError(
+            f"estimator.mu_s: {scenario.estimator.mu_s!r} s needs {n_obs} observations over the "
+            f"trace's span, more than {MAX_OBSERVATIONS}"
+        )
+    return trace, allocated
 
+
+def run(scenario: Scenario, trace: Optional[Trace] = None) -> SimReport:
+    """Execute one scenario and assemble its report.
+
+    ``trace`` may be passed to reuse an already materialised workload that
+    matches what the scenario would produce.
+    """
+    trace, allocated = _checked(scenario, trace)
+    codes = None if scenario.tracking.mode is TrackingMode.OFF else walk_codes(trace, scenario.tlb)
+    return _report(scenario, trace, allocated, codes)
+
+
+def _report(scenario: Scenario, trace: Trace, allocated: int,
+            codes: Optional[np.ndarray]) -> SimReport:
+    """Run the event loop and the enabled estimators over a checked trace and its walk codes."""
     mode = scenario.tracking.mode
     params = scenario.estimator
     enabled = scenario.estimators_enabled
 
     if mode is TrackingMode.OFF:
-        out = _EngineOutput(0, TrackerStats(), CumulativeLog(params.tau), [], 0)
+        out = _EngineOutput(0, TrackerStats(), CumulativeLog(params.tau),
+                            np.recarray(0, dtype=OBS_DTYPE), 0)
     else:
-        n_obs = trace.span_ns // params.mu_ns
-        if n_obs > MAX_OBSERVATIONS:
-            raise ValidationError(
-                f"estimator.mu_s: {params.mu_s!r} s needs {n_obs} observations over the "
-                f"trace's span, more than {MAX_OBSERVATIONS}"
-            )
-        out = _simulate(trace, scenario.tracking, scenario.tlb, params)
+        out = _simulate(trace, codes, scenario.tracking, params)
 
     estimates: dict[str, WssEstimate] = {}
     native: Optional[WssEstimate] = None
     if ESTIMATOR_PRL in enabled:
-        native = estimate_from_series((o.hot_pages for o in out.observations), params)
+        native = estimate_from_series(out.observations.hot_pages.tolist(), params)
         estimates[ESTIMATOR_PRL] = native
     if ESTIMATOR_PML in enabled:
-        native = estimate_from_series((o.distinct_pages for o in out.observations), params)
+        native = estimate_from_series(out.observations.distinct_pages.tolist(), params)
         estimates[ESTIMATOR_PML] = native
     if ESTIMATOR_ORACLE in enabled:
         estimates[ESTIMATOR_ORACLE] = estimate_oracle(trace, params)
     if ESTIMATOR_VMWARE in enabled:
         if native is not None and native.converged:
-            until = out.observations[native.converged_index].t_ns
+            until = int(out.observations.t_ns[native.converged_index])
         else:
             until = int(trace.t[-1]) if len(trace) else 0
         estimates[ESTIMATOR_VMWARE] = estimate_vmware(
@@ -456,9 +451,6 @@ class PairedComparison:
 def run_paired(scenario: Scenario, trace: Optional[Trace] = None) -> PairedComparison:
     """Run the all-access, write-only, sampling and oracle estimators on one trace."""
     scenario.validate()
-    if trace is None:
-        trace = _obtain_trace(scenario)
-
     paml_scenario = dataclasses.replace(
         scenario,
         tracking=dataclasses.replace(scenario.tracking, mode=TrackingMode.PAML),
@@ -469,8 +461,10 @@ def run_paired(scenario: Scenario, trace: Optional[Trace] = None) -> PairedCompa
         tracking=dataclasses.replace(scenario.tracking, mode=TrackingMode.PML),
         estimators_enabled=frozenset({ESTIMATOR_PML, ESTIMATOR_ORACLE}),
     )
-    paml_report = run(paml_scenario, trace=trace)
-    pml_report = run(pml_scenario, trace=trace)
+    trace, allocated = _checked(paml_scenario, trace)
+    codes = walk_codes(trace, scenario.tlb)  # one walk stage for both modes
+    paml_report = _report(paml_scenario, trace, allocated, codes)
+    pml_report = _report(pml_scenario, trace, allocated, codes)
 
     oracle = paml_report.estimates[ESTIMATOR_ORACLE]
     rows = []
@@ -644,7 +638,7 @@ __all__ = [
     "ESTIMATOR_ORACLE",
     "ALL_ESTIMATORS",
     "Scenario",
-    "ObsPoint",
+    "OBS_DTYPE",
     "SimReport",
     "PairedRow",
     "PairedComparison",

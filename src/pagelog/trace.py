@@ -37,6 +37,8 @@ from .errors import TraceParseError, ValidationError
 PAGE_SIZE = 4096  # bytes per guest page; all defaults assume 4 KB pages
 
 DEFAULT_INTER_ACCESS_GAP_NS = 100
+# Upper bound on the accesses of a generated workload; generate() holds them all.
+MAX_ACCESSES = 100_000_000
 
 
 class Pattern(Enum):
@@ -89,7 +91,10 @@ class WorkloadSpec:
         # generate() emits the prefix, then 2 accesses per page and pass (1 for wi).
         prefix, n_main = (self.n_pages, hot) if self.cold_prefix else (0, self.n_pages)
         per_pass = (1 if self.pattern is Pattern.WRITE_INTENSITY else 2) * n_main
-        if (prefix + self.d_iters * per_pass - 1) * self.inter_access_gap_ns > _INT64_MAX:
+        accesses = prefix + self.d_iters * per_pass
+        if accesses > MAX_ACCESSES:
+            raise ValidationError(f"workload.n_pages: {accesses} accesses, more than {MAX_ACCESSES}")
+        if (accesses - 1) * self.inter_access_gap_ns > _INT64_MAX:
             raise ValidationError(
                 "workload.inter_access_gap_ns: the last timestamp (accesses - 1) x gap "
                 "exceeds 2^63-1 ns"

@@ -79,14 +79,6 @@ class TrackerStats:
     logged: int = 0
     vm_stall_ns: int = 0
 
-    def merged(self, other: "TrackerStats") -> "TrackerStats":
-        return TrackerStats(
-            full_events=self.full_events + other.full_events,
-            missed_gpas=self.missed_gpas + other.missed_gpas,
-            logged=self.logged + other.logged,
-            vm_stall_ns=self.vm_stall_ns + other.vm_stall_ns,
-        )
-
 
 class Tracker:
     """Per-vCPU logging hardware instance."""

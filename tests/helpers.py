@@ -11,6 +11,7 @@ dropped) that the engine does not report.
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from types import SimpleNamespace
 
 from pagelog.estimator import EstimatorParams
@@ -108,9 +109,7 @@ def reference_run(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
     if len(trace):
         observations.append((end_t, hot_count(), len(log.counts)))
 
-    stats = TrackerStats()
-    for v in vcpus:
-        stats = stats.merged(trackers[v].stats())
+    stats = TrackerStats(*map(sum, zip(*(astuple(trackers[v].stats()) for v in vcpus))))
     return SimpleNamespace(
         walks=walks,
         stats=stats,

@@ -79,6 +79,14 @@ def test_gen_invalid_spec_exit1(tmp_path, capsys):
     assert "wi" in capsys.readouterr().err
 
 
+def test_gen_access_count_bounded_exit1(tmp_path, capsys):
+    # generate() validates before it allocates, so this asks for no memory.
+    rc = main(["gen", "--pattern", "rwrw", "--pages", "1000000000000",
+               "-o", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert "workload.n_pages" in capsys.readouterr().err
+
+
 def test_run_summary_and_exit0(scn, capsys):
     assert main(["run", scn]) == 0
     out = capsys.readouterr().out
@@ -122,12 +130,18 @@ def test_run_invalid_scenario_exit1(tmp_path, capsys):
      (b"workload.pattern = rwrw\nworkload.n_pages = 8\ntlb.replacement = lru\n",
       "unknown scenario key"),
      (b"workload.pattern = rwrw\nworkload.n_pages = 8\n"
-      b"workload.inter_access_gap_ns = 9223372036854775808\n", "workload.inter_access_gap_ns")],
-    ids=["not-utf8", "nul-in-trace-path", "removed-tlb-replacement", "gap-past-int64"],
+      b"workload.inter_access_gap_ns = 9223372036854775808\n", "workload.inter_access_gap_ns"),
+     (b"workload.pattern = rwrw\nworkload.n_pages = 1000000000000\n", "workload.n_pages"),
+     (b"workload.pattern = rwrw\nworkload.n_pages = 8\nworkload.d_iters = 1000000000000\n",
+      "workload.n_pages")],
+    ids=["not-utf8", "nul-in-trace-path", "removed-tlb-replacement", "gap-past-int64",
+         "pages-past-max-accesses", "passes-past-max-accesses"],
 )
 def test_run_rejected_scenario_exit1(tmp_path, capsys, data, named):
     # not-utf8, nul-in-trace-path and gap-past-int64 used to end in a
-    # UnicodeDecodeError, ValueError or OverflowError traceback.
+    # UnicodeDecodeError, ValueError or OverflowError traceback; the two
+    # 10^12-page and 10^12-pass workloads passed validation, and generating
+    # them would have asked for about 10^12 accesses.
     bad = tmp_path / "bad.scn"
     bad.write_bytes(data)
     assert main(["run", str(bad)]) == 1

@@ -25,6 +25,7 @@ class _RefLruSets:
         self.n_sets = entries // ways
         self.ways = ways
         self.sets = [[] for _ in range(self.n_sets)]
+        self.dirty = set()
 
     def touch(self, gppn):
         s = self.sets[gppn % self.n_sets]
@@ -35,6 +36,14 @@ class _RefLruSets:
             s.pop(0)
         s.append(gppn)
         return hit
+
+    def code(self, gppn, is_write):
+        """The expected ``lookup_raw`` code: a first write walks even when resident."""
+        hit = self.touch(gppn)
+        if is_write and gppn not in self.dirty:
+            self.dirty.add(gppn)
+            return TLB_WALK_DIRTY
+        return TLB_HIT if hit else TLB_WALK
 
 
 def test_lru_eviction_within_set():
@@ -72,21 +81,20 @@ def test_dirty_persists_across_eviction():
     assert tlb.lookup_raw(0, WRITE) == TLB_WALK_DIRTY
     for p in range(4, 24, 4):  # same set as page 0, evicts it
         tlb.lookup_raw(p, READ)
-    assert not tlb.resident(0)
-    assert tlb.lookup_raw(0, WRITE) == TLB_WALK  # flag still set
+    assert tlb.lookup_raw(0, WRITE) == TLB_WALK  # evicted, and the flag is still set
 
 
 def test_capacity_and_partition_invariants():
+    # Agreeing code for code with a reference whose sets never hold more than
+    # `ways` pages means the TLB keeps to its capacity and its partition.
     cfg = TlbConfig(entries=16, ways=4)
     tlb = Tlb(cfg)
+    ref = _RefLruSets(cfg.entries, cfg.ways)
     rng = np.random.default_rng(7)
-    n = 5000
-    for i in range(n):
+    for _ in range(5000):
         p = int(rng.integers(0, 200))
-        tlb.lookup_raw(p, bool(rng.integers(0, 2)))
-        assert tlb.occupancy() <= cfg.entries
-        assert max(tlb.set_sizes()) <= cfg.ways
-    assert tlb.hits + tlb.misses == n
+        is_write = bool(rng.integers(0, 2))
+        assert tlb.lookup_raw(p, is_write) == ref.code(p, is_write)
 
 
 def test_dirty_set_once_per_page_between_clears():

@@ -9,12 +9,14 @@ from helpers import reference_run
 
 from pagelog.errors import ValidationError
 from pagelog.estimator import DEFAULT_VMWARE_PERIOD_S, DEFAULT_VMWARE_SAMPLE_SIZE, EstimatorParams
-from pagelog.mmu import TLB_HIT, Tlb, TlbConfig
+from pagelog import mmu, sim
+from pagelog.mmu import TLB_HIT, Tlb, TlbConfig, walk_codes
 from pagelog.sim import (
     ESTIMATOR_ORACLE,
     ESTIMATOR_PML,
     ESTIMATOR_PRL,
     ESTIMATOR_VMWARE,
+    OBS_DTYPE,
     Scenario,
     parse_scenario_text,
     run,
@@ -133,7 +135,7 @@ def test_engine_matches_reference_composition():
         mu_ns = max(1, span // 7)
         params = EstimatorParams(tau=int(rng.integers(1, 6)), mu_s=mu_ns / 1e9,
                                  omega_s=3 * mu_ns / 1e9)
-        out = _simulate(trace, tracking, tlb, params)
+        out = _simulate(trace, walk_codes(trace, tlb), tracking, params)
         ref = reference_run(trace, tracking, tlb, params)
         assert out.walks == ref.walks
         assert out.stats == ref.stats
@@ -171,7 +173,35 @@ def test_multi_vcpu_engine_matches_reference(case):
     from pagelog.sim import _simulate
 
     trace, tracking, tlb, params = case
-    out = _simulate(trace, tracking, tlb, params)
+    out = _simulate(trace, walk_codes(trace, tlb), tracking, params)
+    ref = reference_run(trace, tracking, tlb, params)
+    assert out.walks == ref.walks
+    assert out.stats == ref.stats
+    assert out.log.counts == ref.log.counts
+    assert [(o.t_ns, o.hot_pages, o.distinct_pages) for o in out.observations] == ref.observations
+
+
+def _per_access_codes(trace, tlb_config):
+    """Walk codes by composing ``Tlb.lookup_raw`` one access at a time, in trace order."""
+    tlbs = {}
+    return [tlbs.setdefault(v, Tlb(tlb_config)).lookup_raw(g, w)
+            for v, g, w in zip(trace.vcpu.tolist(), trace.gppn.tolist(), trace.is_write.tolist())]
+
+
+@settings(max_examples=100, deadline=None)
+@given(multi_vcpu_runs(), st.sampled_from([1, 3, 7]))
+def test_chunk_seams_match_reference(case, chunk):
+    # Both stages work on chunks of the trace. The TLBs and the event loop's
+    # state must carry across every seam, so tiny chunks put many seams
+    # between a page's accesses and between a round's entries.
+    trace, tracking, tlb, params = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mmu, "_CHUNK", chunk)
+        mp.setattr(sim, "_CHUNK", chunk)
+        codes = walk_codes(trace, tlb)
+        out = sim._simulate(trace, codes, tracking, params)
+    assert codes.dtype == np.int8
+    assert codes.tolist() == _per_access_codes(trace, tlb)
     ref = reference_run(trace, tracking, tlb, params)
     assert out.walks == ref.walks
     assert out.stats == ref.stats
@@ -185,7 +215,7 @@ def test_conservation_laws_of_both_modes(case):
     from pagelog.sim import _simulate
 
     trace, tracking, tlb, params = case
-    out = _simulate(trace, tracking, tlb, params)
+    out = _simulate(trace, walk_codes(trace, tlb), tracking, params)
     s = out.stats
     assert out.log.total == s.logged
     if tracking.mode is TrackingMode.PAML:
@@ -540,4 +570,6 @@ def test_observations_bounded():
 
     with pytest.raises(ValidationError, match="estimator.mu_s"):
         run(scenario(1_000_001_000))
-    assert len(run(scenario(1_000_000_000)).observations) == 1_000_000 + 1
+    observations = run(scenario(1_000_000_000)).observations
+    assert len(observations) == 1_000_000 + 1
+    assert observations.dtype == OBS_DTYPE
