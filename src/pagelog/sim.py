@@ -58,7 +58,7 @@ from .tracker import (
     TrackingConfig,
     TrackingMode,
 )
-from .trace import Trace, WorkloadSpec, generate, read_trace_file
+from .trace import Trace, WorkloadSpec, decimal_rows, generate, read_trace_file
 
 ESTIMATOR_PRL = "prl"
 ESTIMATOR_PML = "pml"
@@ -628,7 +628,23 @@ def load_scenario(path) -> Scenario:
 
 
 def report_to_json(report: SimReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+    """``json.dumps(report.to_json_dict(), indent=2, sort_keys=True)``.
+
+    The observation list, which may hold a million rows, is written straight
+    from its columns and spliced into the dump of the other fields.
+    """
+    text = json.dumps(dataclasses.replace(report, observations=report.observations[:0]).to_json_dict(),
+                      indent=2, sort_keys=True)
+    if not len(report.observations):
+        return text
+    names = sorted(OBS_DTYPE.names)
+    keys = [f"\n      {json.dumps(name)}: ".encode("ascii") for name in names]
+    pieces = [b"    {" + keys[0], *(b"," + key for key in keys[1:]), b"\n    },\n"]
+    rows = [chunk.tobytes().decode("ascii")
+            for chunk, _ in decimal_rows(pieces, [report.observations[name] for name in names])]
+    rows[-1] = rows[-1][:-2]  # no comma after the last row
+    head, _, tail = text.partition('\n  "observations": []')
+    return "".join([head, '\n  "observations": [\n', *rows, "\n  ]", tail])
 
 
 __all__ = [

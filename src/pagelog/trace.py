@@ -22,15 +22,22 @@ distinct page count.
 File format: CSV text, one access per line, ``t,vcpu,gppn,R|W``, LF line
 endings, no header. An optional first line ``#wss=<pages>`` carries the
 generator's ground-truth working set size.
+
+The writer formats whole columns at once. The reader parses a file in the
+canonical form that the writer emits as arrays, and hands anything else to a
+per-line parser, which alone reports parse errors.
 """
 
 from __future__ import annotations
 
+import io
+import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Optional
+from typing import BinaryIO, Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import TraceParseError, ValidationError
 
@@ -226,33 +233,180 @@ def generate(spec: WorkloadSpec) -> Trace:
 _WSS_SIDECAR = "#wss="
 _INT64_MAX = 2**63 - 1  # largest t and gppn the columns hold
 _INT32_MAX = 2**31 - 1  # largest vcpu
+_CHUNK = 1 << 18  # lines per step of the array reader and writer; bounds their temporaries
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # 10 .. 10^19: digit counts up to 2^64
+# The sidecar line as write_trace emits it; any other '#' line goes to the per-line parser.
+_CANONICAL_SIDECAR = re.compile(rb"#wss=(\d{1,18})\n")
+_PAD = 18  # bytes ahead of each reader chunk, so that every field has a full-width window
+
+
+def decimal_rows(pieces: Sequence[bytes], columns: Sequence[np.ndarray]) -> Iterator[tuple]:
+    """Rows ``pieces[0] + str(columns[0][i]) + pieces[1] + ... + pieces[-1]`` as bytes.
+
+    Takes ``len(columns) + 1`` pieces and integer columns of one length.
+    Yields, for each chunk of up to ``_CHUNK`` rows, the chunk's rows
+    concatenated into one uint8 array, and the end offset of each row in it.
+    A column is written one digit position at a time over all rows, into a
+    matrix as wide as its widest value, and the unused cells are dropped.
+    """
+    n = len(columns[0])
+    fixed = sum(map(len, pieces))
+    for lo in range(0, n, _CHUNK):
+        chunk = [col[lo:lo + _CHUNK] for col in columns]
+        widths = []
+        for col in chunk:
+            mag, neg = _magnitude(col)
+            widths.append(np.searchsorted(_POW10, mag, side="right") + 1 + neg)
+        text = np.empty((len(chunk[0]), fixed + sum(int(w.max()) for w in widths)), np.uint8)
+        keep = np.ones(text.shape, dtype=bool)
+        pos = 0
+        for k, piece in enumerate(pieces):
+            text[:, pos:pos + len(piece)] = np.frombuffer(piece, np.uint8)
+            pos += len(piece)
+            if k == len(chunk):
+                break
+            mag, neg = _magnitude(chunk[k])
+            width = widths[k]
+            w = int(width.max())
+            block = text[:, pos:pos + w]
+            for j in range(w - 1, -1, -1):
+                q = mag // 10
+                mag -= q * 10
+                block[:, j] = mag
+                mag = q
+            block += ord("0")
+            rows = np.flatnonzero(neg)
+            block[rows, w - width[rows]] = ord("-")
+            keep[:, pos:pos + w] = np.arange(w) >= (w - width)[:, None]
+            pos += w
+        yield text[keep], np.cumsum(sum(widths) + fixed)
+
+
+def _magnitude(col: np.ndarray) -> tuple:
+    """``|col|`` as uint64, -2^63 included, and where ``col`` is negative."""
+    neg = col < 0
+    mag = col.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # two's complement
+    return mag, neg
 
 
 def write_trace(trace: Trace, sink: BinaryIO) -> None:
     """Serialise ``trace`` as CSV text onto a binary stream."""
     if trace.ground_truth_wss_pages is not None:
         sink.write(f"{_WSS_SIDECAR}{trace.ground_truth_wss_pages}\n".encode("ascii"))
-    n = len(trace)
-    chunk = 1 << 18
-    t = trace.t
-    vcpu = trace.vcpu
-    gppn = trace.gppn
-    w = trace.is_write
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        lines = [
-            f"{t[i]},{vcpu[i]},{gppn[i]},{'W' if w[i] else 'R'}"
-            for i in range(lo, hi)
-        ]
-        sink.write(("\n".join(lines) + "\n").encode("ascii"))
+    lo = 0
+    for text, ends in decimal_rows((b"", b",", b",", b",R\n"), (trace.t, trace.vcpu, trace.gppn)):
+        text[ends[trace.is_write[lo:lo + len(ends)]] - 2] = ord("W")
+        lo += len(ends)
+        sink.write(text)
 
 
 def read_trace(source: BinaryIO) -> Trace:
     """Parse a trace stream written by :func:`write_trace`.
 
     Raises :class:`TraceParseError` with the offending 1-based line number
-    on any malformed line. The ``#wss=`` sidecar is optional.
+    on any malformed line. The ``#wss=`` sidecar is optional. A stream in the
+    canonical form that :func:`write_trace` emits is parsed as arrays. Any
+    other stream, every malformed one included, goes to the per-line parser,
+    which reads a canonical stream to the same trace.
     """
+    data = source.read()
+    trace = _read_canonical(data)
+    return trace if trace is not None else _read_lines(io.BytesIO(data))
+
+
+def _read_canonical(data: bytes) -> Optional[Trace]:
+    """The trace in ``data`` if it is in canonical form, else None.
+
+    Canonical: an optional ``#wss=<digits>`` first line, then lines
+    ``<digits>,<digits>,<digits>,R|W``, each ending in LF, with 1 to 18
+    digits in ``t`` and ``gppn`` and 1 to 10 in ``vcpu``, ``vcpu`` < 2^31 and
+    ``t`` non-decreasing. The per-line parser reads such a stream to the
+    same trace: the range and order checks are the only ones of its checks
+    that these lines can fail.
+    """
+    ground_truth = None
+    start = 0
+    if data.startswith(b"#"):
+        sidecar = _CANONICAL_SIDECAR.match(data)
+        if sidecar is None:
+            return None
+        ground_truth = int(sidecar[1])
+        start = sidecar.end()
+    if len(data) > start and data[-1:] != b"\n":
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(buf[start:] == ord("\n"))
+    ends += start
+    n = len(ends)
+    t = np.empty(n, np.int64)
+    vcpu = np.empty(n, np.int32)
+    gppn = np.empty(n, np.int64)
+    is_write = np.empty(n, bool)
+    prev_t = 0
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        stop = int(ends[hi - 1]) + 1
+        columns = _parse_lines(buf[start:stop], ends[lo:hi] - start)
+        if columns is None:
+            return None
+        ct = columns[0]
+        if ct[0] < prev_t or np.any(ct[1:] < ct[:-1]):
+            return None
+        t[lo:hi], vcpu[lo:hi], gppn[lo:hi], is_write[lo:hi] = columns
+        prev_t = ct[-1]
+        start = stop
+    return Trace(t, vcpu, gppn, is_write, ground_truth_wss_pages=ground_truth)
+
+
+def _parse_lines(lines: np.ndarray, ends: np.ndarray) -> Optional[tuple]:
+    """Columns of whole lines (bytes, each LF at ``ends``) if every line is canonical."""
+    n = len(ends)
+    commas = np.flatnonzero(lines == ord(","))
+    # Commas, ops and LFs are the only bytes that may not be digits.
+    if len(commas) != 3 * n or np.count_nonzero(lines - ord("0") > 9) != 5 * n:
+        return None
+    op = lines[ends - 1]
+    is_write = op == ord("W")
+    if not np.all(is_write | (op == ord("R"))):
+        return None
+    # With each line's third comma just before its op, every line holds
+    # exactly three commas, and the fields between them are all digits.
+    commas += _PAD
+    c = commas.reshape(n, 3).T
+    if np.any(c[2] != ends + (_PAD - 2)):
+        return None
+    padded = np.empty(_PAD + len(lines), np.uint8)
+    padded[_PAD:] = lines
+    starts = np.empty(n, np.int64)
+    starts[0] = _PAD
+    starts[1:] = ends[:-1] + 1 + _PAD
+    t = _decimal(padded, starts, c[0], 18)
+    vcpu = _decimal(padded, c[0] + 1, c[1], 10)
+    gppn = _decimal(padded, c[1] + 1, c[2], 18)
+    if t is None or vcpu is None or gppn is None or vcpu.max() > _INT32_MAX:
+        return None
+    return t, vcpu, gppn, is_write
+
+
+def _decimal(padded: np.ndarray, start: np.ndarray, end: np.ndarray, most: int) -> Optional[np.ndarray]:
+    """Values of the all-digit fields ``padded[start:end]``, or None unless each has 1..most digits."""
+    length = end - start
+    if length.min() < 1 or length.max() > most:
+        return None
+    w = int(length.max())
+    # Each field right-aligned in a w-byte window, the bytes ahead of it zeroed.
+    digits = sliding_window_view(padded, w)[end - w] - ord("0")
+    digits *= np.arange(w) >= (w - length)[:, None]
+    value = np.zeros(len(length), np.int64)
+    for j in range(w):
+        value *= 10
+        value += digits[:, j]
+    return value
+
+
+def _read_lines(source: BinaryIO) -> Trace:
+    """The per-line parser: it accepts every form the format allows and raises every parse error."""
     ground_truth: Optional[int] = None
     ts: list[int] = []
     vcpus: list[int] = []
@@ -324,6 +478,7 @@ __all__ = [
     "WorkloadSpec",
     "Trace",
     "generate",
+    "decimal_rows",
     "write_trace",
     "read_trace",
     "write_trace_file",

@@ -7,13 +7,22 @@ fires them before walks only, so it is an independent route to the same
 semantics as ``pagelog.sim.run``. It is used to cross-check the engine on
 small scenarios, and to expose per-walk outcomes (e.g. which pages were
 dropped) that the engine does not report.
+
+``reference_write_trace`` and ``reference_read_trace`` are the trace file
+writer and reader as they were before trace I/O moved onto arrays: one
+formatted string, and one parsed line, per access. The array paths must
+give the same bytes, and the same trace or ``TraceParseError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple
 from types import SimpleNamespace
+from typing import BinaryIO, Optional
 
+import numpy as np
+
+from pagelog.errors import TraceParseError
 from pagelog.estimator import EstimatorParams
 from pagelog.handler import CumulativeLog, batch_duration_ns, handle_full
 from pagelog.mmu import TLB_HIT, TLB_WALK_DIRTY, Tlb, TlbConfig
@@ -116,4 +125,83 @@ def reference_run(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
         log=log,
         observations=observations,
         dropped_pages=dropped_pages,
+    )
+
+
+_WSS_SIDECAR = "#wss="
+_INT64_MAX = 2**63 - 1
+_INT32_MAX = 2**31 - 1
+
+
+def reference_write_trace(trace: Trace, sink: BinaryIO) -> None:
+    if trace.ground_truth_wss_pages is not None:
+        sink.write(f"{_WSS_SIDECAR}{trace.ground_truth_wss_pages}\n".encode("ascii"))
+    n = len(trace)
+    chunk = 1 << 18
+    t = trace.t
+    vcpu = trace.vcpu
+    gppn = trace.gppn
+    w = trace.is_write
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        lines = [
+            f"{t[i]},{vcpu[i]},{gppn[i]},{'W' if w[i] else 'R'}"
+            for i in range(lo, hi)
+        ]
+        sink.write(("\n".join(lines) + "\n").encode("ascii"))
+
+
+def reference_read_trace(source: BinaryIO) -> Trace:
+    ground_truth: Optional[int] = None
+    ts: list[int] = []
+    vcpus: list[int] = []
+    gppns: list[int] = []
+    writes: list[bool] = []
+    prev_t = None
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.decode("ascii", errors="replace").strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if lineno == 1 and line.startswith(_WSS_SIDECAR):
+                try:
+                    ground_truth = int(line[len(_WSS_SIDECAR):])
+                except ValueError:
+                    raise TraceParseError("bad #wss sidecar value", lineno) from None
+                if ground_truth < 0:
+                    raise TraceParseError("negative #wss sidecar value", lineno)
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise TraceParseError(f"expected 4 fields, got {len(parts)}", lineno)
+        try:
+            t = int(parts[0])
+            vcpu = int(parts[1])
+            gppn = int(parts[2])
+        except ValueError:
+            raise TraceParseError("non-integer field", lineno) from None
+        op = parts[3]
+        if op == "W":
+            is_w = True
+        elif op == "R":
+            is_w = False
+        else:
+            raise TraceParseError(f"bad op code {op!r} (expected R or W)", lineno)
+        if t < 0 or vcpu < 0 or gppn < 0:
+            raise TraceParseError("negative field", lineno)
+        if t > _INT64_MAX or gppn > _INT64_MAX or vcpu > _INT32_MAX:
+            raise TraceParseError("field out of range (t, gppn < 2^63; vcpu < 2^31)", lineno)
+        if prev_t is not None and t < prev_t:
+            raise TraceParseError("timestamps must be non-decreasing", lineno)
+        prev_t = t
+        ts.append(t)
+        vcpus.append(vcpu)
+        gppns.append(gppn)
+        writes.append(is_w)
+    return Trace(
+        np.array(ts, dtype=np.int64),
+        np.array(vcpus, dtype=np.int32),
+        np.array(gppns, dtype=np.int64),
+        np.array(writes, dtype=bool),
+        ground_truth_wss_pages=ground_truth,
     )

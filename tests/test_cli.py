@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -64,6 +65,21 @@ def test_gen_wi_zero_has_no_write_lines(tmp_path):
                  "--iters", "2", "-o", str(out)]) == 0
     body = out.read_text().splitlines()[1:]
     assert all(line.endswith(",R") for line in body)
+
+
+@pytest.mark.parametrize("args,sha256", [
+    (["--pattern", "wi", "--wi", "37", "--pages", "5000", "--iters", "3", "--seed", "11"],
+     "95462fbd309cff42b7a63a7f8f8b06087dadbdf58d77792f096efddbc86d6190"),
+    # 320,000 lines: more than one 2^18-line write chunk.
+    (["--pattern", "rrww", "--pages", "200000", "--iters", "20", "--hot", "3000",
+      "--cold-prefix", "--gap", "977", "--seed", "5"],
+     "c91c12402e2b169234aa4e9130421e42df0896d190315e31f60a255f62be3b6f"),
+], ids=["wi", "rrww-cold-prefix"])
+def test_gen_file_bytes_pinned(tmp_path, args, sha256):
+    # Digests of the files the per-line writer produced before trace I/O moved onto arrays.
+    out = tmp_path / "t.csv"
+    assert main(["gen", *args, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_gen_malformed_flag_usage_error(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from helpers import reference_run
 from pagelog.errors import ValidationError
 from pagelog.estimator import DEFAULT_VMWARE_PERIOD_S, DEFAULT_VMWARE_SAMPLE_SIZE, EstimatorParams
 from pagelog import mmu, sim
+from pagelog import trace as trace_mod
 from pagelog.mmu import TLB_HIT, Tlb, TlbConfig, walk_codes
 from pagelog.sim import (
     ESTIMATOR_ORACLE,
@@ -19,6 +21,7 @@ from pagelog.sim import (
     OBS_DTYPE,
     Scenario,
     parse_scenario_text,
+    report_to_json,
     run,
     run_paired,
 )
@@ -44,6 +47,20 @@ def test_run_is_deterministic():
     sc = paml_scenario(WorkloadSpec(n_pages=300, pattern=Pattern.RRWW, d_iters=20))
     a, b = run(sc), run(sc)
     assert a.to_json_dict() == b.to_json_dict()
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3, 7])
+def test_report_to_json_is_the_indented_dump(chunk, monkeypatch):
+    # report_to_json writes the observations from their columns; the text must
+    # be that of the plain dump, negative instants and chunk seams included.
+    if chunk is not None:
+        monkeypatch.setattr(trace_mod, "_CHUNK", chunk)
+    sc = paml_scenario(WorkloadSpec(n_pages=300, pattern=Pattern.RRWW, d_iters=20), mu_s=2e-5)
+    early = Trace(np.array([-5000, -100, 3000]), np.array([0, 1, 0]), np.array([1, 2, 3]),
+                  np.array([True, False, True]))
+    empty = Trace(*(np.zeros(0, dtype) for dtype in (np.int64, np.int32, np.int64, bool)))
+    for report in (run(sc), run(sc, trace=early), run(sc, trace=empty)):
+        assert report_to_json(report) == json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
 
 
 def test_paml_never_stalls_the_vm():

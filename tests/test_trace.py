@@ -3,7 +3,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_read_trace, reference_write_trace
+from pagelog import trace as trace_mod
 from pagelog.errors import TraceParseError, ValidationError
 from pagelog.trace import (
     MAX_ACCESSES,
@@ -239,3 +243,128 @@ def test_access_count_bounded(pattern, cold_prefix):
                 dataclasses.replace(spec, d_iters=10**12)):
         with pytest.raises(ValidationError, match="workload.n_pages"):
             bad.validate()
+
+
+# -- array reader and writer against the per-line reference -------------------
+
+BIG = [0, 1, 2**31 - 1, 2**31, 10**17, 10**18 - 1, 10**18, 2**63 - 1]
+# Field edits. Most make a field the array reader refuses and the per-line
+# parser may still accept (signs, spaces, '_', 19 digits); the rest are edge
+# values both take (leading zeros, 18 digits, 2^31 - 1).
+FIELD_EDITS = [
+    lambda f: "+" + f, lambda f: "-" + f, lambda f: " " + f, lambda f: f + " ",
+    lambda f: f[:1] + "_" + f[1:], lambda f: "00" + f, lambda f: "", lambda f: "x",
+    lambda f: "9" * 18, lambda f: "1" + "0" * 18, lambda f: "9" * 19, lambda f: "9" * 20,
+    lambda f: "9223372036854775808", lambda f: "2147483648", lambda f: "2147483647",
+    lambda f: f + ",0", lambda f: "w", lambda f: "\xff",
+]
+LINE_EDITS = ["", "\r", "#c", "#wss=5", " ", "0,0,0", "0,0,0,R,", "1,2,3,R\r"]
+SIDECARS = [None, "#wss=12", "#wss=0", "#wss=007", "#wss=", "#wss=-5", "#wss= 7", "#wss=+3",
+            "#wss=" + "9" * 18, "#wss=" + "9" * 19, "#wss=x", "#wss=5\r", "#note"]
+
+
+@st.composite
+def trace_files(draw):
+    """Bytes of a trace file: canonical, then a few edits that may make it anything else."""
+    n = draw(st.integers(0, 12))
+    ints = st.one_of(st.sampled_from(BIG), st.integers(0, 10**18 - 1), st.integers(0, 99))
+    ts = sorted(draw(st.lists(ints, min_size=n, max_size=n)))
+    rows = [[str(t), str(draw(st.one_of(st.sampled_from([0, 3, 2**31 - 1]), st.integers(0, 2**31 - 1)))),
+             str(draw(ints)), draw(st.sampled_from("RW"))] for t in ts]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        j = draw(st.integers(0, 3))
+        row[j] = draw(st.sampled_from(FIELD_EDITS))(row[j])
+    if len(rows) > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 2))
+        rows[i][0], rows[i + 1][0] = rows[i + 1][0], rows[i][0]  # decreasing t unless equal
+    lines = [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(LINE_EDITS))
+        i = draw(st.integers(0, len(lines)))
+        if edit == "\r" and i < len(lines):
+            lines[i] += edit
+        else:
+            lines.insert(i, edit)
+    sidecar = draw(st.sampled_from(SIDECARS))
+    if sidecar is not None:
+        lines.insert(draw(st.sampled_from([0, 0, 0, min(1, len(lines))])), sidecar)
+    text = "".join(line + "\n" for line in lines)
+    if text and draw(st.integers(0, 5)) == 0:
+        text = text[:-1]  # no final newline
+    return text.encode("utf-8")
+
+
+def _outcome(read, data):
+    try:
+        return read(io.BytesIO(data))
+    except TraceParseError as exc:
+        return f"TraceParseError: {exc}"
+
+
+@settings(max_examples=600, deadline=None)
+@given(trace_files(), st.sampled_from([None, 1, 3, 7]))
+@example(b"0,0,0,R\n", 1)
+@example(b"#wss=3\n", None)
+@example(b"", None)
+@example(b"5,0,1,R\n4,0,2,R\n", 1)  # decreasing across a chunk seam
+@example(b"9223372036854775807,2147483647,9223372036854775807,W\n", None)
+def test_read_trace_matches_per_line_reference(data, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(trace_mod, "_CHUNK", chunk)
+        assert _outcome(read_trace, data) == _outcome(reference_read_trace, data)
+
+
+non_negative = st.one_of(st.sampled_from([0, 2**63 - 1, 2**31 - 1]), st.integers(0, 2**63 - 1))
+# Negative times only in traces of their own: Trace takes np.diff of t, which
+# wraps for spans beyond 2^63 - 1.
+negative = st.one_of(st.sampled_from([-1, -(2**63)]), st.integers(-(2**63), -1))
+
+
+@st.composite
+def traces(draw):
+    n = draw(st.integers(0, 12))
+    t = sorted(draw(st.lists(draw(st.sampled_from([non_negative, negative])), min_size=n, max_size=n)))
+    vcpu = draw(st.lists(st.one_of(st.sampled_from([0, 2**31 - 1, -(2**31)]),
+                                   st.integers(-(2**31), 2**31 - 1)), min_size=n, max_size=n))
+    gppn = draw(st.lists(non_negative, min_size=n, max_size=n))
+    is_write = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    wss = draw(st.one_of(st.none(), st.sampled_from([0, 2**63 - 1]), st.integers(0, 10**6)))
+    return Trace(np.array(t, np.int64), np.array(vcpu, np.int32), np.array(gppn, np.int64),
+                 np.array(is_write, bool), ground_truth_wss_pages=wss)
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces(), st.sampled_from([None, 1, 3, 7]))
+def test_write_trace_matches_per_line_reference(tr, chunk):
+    ours, ref = io.BytesIO(), io.BytesIO()
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(trace_mod, "_CHUNK", chunk)
+        write_trace(tr, ours)
+        if tr.t.min(initial=0) >= 0 and tr.vcpu.min(initial=0) >= 0:
+            ours.seek(0)
+            assert read_trace(ours) == tr
+    reference_write_trace(tr, ref)
+    assert ours.getvalue() == ref.getvalue()
+
+
+def test_canonical_file_takes_array_path(monkeypatch):
+    # The differential test above holds as well if the array reader refuses
+    # everything; this pins that canonical files never reach the per-line parser.
+    tr = generate(WorkloadSpec(n_pages=50, pattern=Pattern.WRITE_INTENSITY, wi=40, d_iters=3,
+                               inter_access_gap_ns=10**15))
+    big = Trace(np.array([0, 10**18 - 1]), np.array([2**31 - 1, 0]),
+                np.array([10**18 - 1, 0]), np.array([True, False]))
+
+    def refuse(source):
+        raise AssertionError("canonical stream reached the per-line parser")
+
+    monkeypatch.setattr(trace_mod, "_read_lines", refuse)
+    monkeypatch.setattr(trace_mod, "_CHUNK", 7)
+    for expected in (tr, big):
+        buf = io.BytesIO()
+        write_trace(expected, buf)
+        buf.seek(0)
+        assert read_trace(buf) == expected
