@@ -19,6 +19,11 @@ precedes the main loop and the main loop then touches only the first
 ``hot_pages`` pages; the generator's ground truth is the post-prefix
 distinct page count.
 
+A generated trace is built in place: its columns are allocated once, the
+prefix is written first, and one main-loop pass is built once and repeated
+into the rest. The ``wi`` writes are drawn from the seeded stream one pass
+at a time, in pass order.
+
 File format: CSV text, one access per line, ``t,vcpu,gppn,R|W``, LF line
 endings, no header. An optional first line ``#wss=<pages>`` carries the
 generator's ground-truth working set size.
@@ -95,10 +100,7 @@ class WorkloadSpec:
             raise ValidationError("hot_pages: must not exceed n_pages")
         if self.inter_access_gap_ns < 0:
             raise ValidationError("inter_access_gap_ns: must be >= 0")
-        # generate() emits the prefix, then 2 accesses per page and pass (1 for wi).
-        prefix, n_main = (self.n_pages, hot) if self.cold_prefix else (0, self.n_pages)
-        per_pass = (1 if self.pattern is Pattern.WRITE_INTENSITY else 2) * n_main
-        accesses = prefix + self.d_iters * per_pass
+        accesses = self.access_count
         if accesses > MAX_ACCESSES:
             raise ValidationError(f"workload.n_pages: {accesses} accesses, more than {MAX_ACCESSES}")
         if (accesses - 1) * self.inter_access_gap_ns > _INT64_MAX:
@@ -110,6 +112,12 @@ class WorkloadSpec:
     @property
     def effective_hot_pages(self) -> int:
         return self.n_pages if self.hot_pages is None else self.hot_pages
+
+    @property
+    def access_count(self) -> int:
+        """Accesses of the trace: the prefix, then 2 per page and pass (1 for wi)."""
+        prefix, n_main = (self.n_pages, self.effective_hot_pages) if self.cold_prefix else (0, self.n_pages)
+        return prefix + self.d_iters * (1 if self.pattern is Pattern.WRITE_INTENSITY else 2) * n_main
 
 
 class Trace:
@@ -138,7 +146,7 @@ class Trace:
         self.vcpu = np.ascontiguousarray(vcpu, dtype=np.int32)
         self.gppn = np.ascontiguousarray(gppn, dtype=np.int64)
         self.is_write = np.ascontiguousarray(is_write, dtype=bool)
-        if n and np.any(np.diff(self.t) < 0):
+        if n and np.any(self.t[1:] < self.t[:-1]):
             raise ValidationError("t: timestamps must be non-decreasing")
         if n and self.gppn.min() < 0:
             raise ValidationError("gppn: must be non-negative")
@@ -174,52 +182,52 @@ class Trace:
         return int(np.unique(self.gppn).size) if len(self.gppn) else 0
 
 
-def _pattern_pass(spec: WorkloadSpec, n: int, rng: np.random.Generator):
-    """Page and write columns for one pass of the main loop over n pages."""
+def _pattern_pass(pattern: Pattern, n: int):
+    """Page and write columns of one main-loop pass over n pages; writes None for wi."""
     idx = np.arange(n, dtype=np.int64)
-    if spec.pattern is Pattern.WRITE_INTENSITY:
-        pages = idx
-        writes = rng.integers(0, 100, size=n) < spec.wi
-    elif spec.pattern is Pattern.RWRW:
-        pages = np.repeat(idx, 2)
-        writes = np.tile(np.array([False, True]), n)
-    elif spec.pattern is Pattern.RRWW:
-        pages = np.concatenate([idx, idx])
-        writes = np.concatenate([np.zeros(n, dtype=bool), np.ones(n, dtype=bool)])
-    elif spec.pattern is Pattern.WWRR:
-        pages = np.concatenate([idx, idx])
-        writes = np.concatenate([np.ones(n, dtype=bool), np.zeros(n, dtype=bool)])
-    else:  # pragma: no cover - enum is closed
-        raise ValidationError(f"pattern: unsupported {spec.pattern}")
-    return pages, writes
+    if pattern is Pattern.WRITE_INTENSITY:
+        return idx, None
+    if pattern is Pattern.RWRW:
+        return np.repeat(idx, 2), np.tile(np.array([False, True]), n)
+    first_half = np.arange(2 * n) < n
+    if pattern is Pattern.RRWW:
+        return np.concatenate([idx, idx]), ~first_half
+    if pattern is Pattern.WWRR:
+        return np.concatenate([idx, idx]), first_half
+    raise ValidationError(f"pattern: unsupported {pattern}")  # pragma: no cover - enum is closed
 
 
 def generate(spec: WorkloadSpec) -> Trace:
     """Produce the deterministic trace described by ``spec``.
 
     Pure function of its argument: the same workload spec (seed included)
-    always yields an identical trace. Randomness (``wi`` pattern only)
-    comes from a seeded PCG64 stream, which is reproducible across
-    platforms.
+    always yields an identical trace. The columns are allocated once; the
+    main-loop pass is built once and repeated into them. The ``wi`` writes
+    come from a seeded PCG64 stream, which is reproducible across
+    platforms: one draw of ``n`` values per pass, in pass order.
     """
     spec.validate()
-    rng = np.random.default_rng(spec.seed)
     n_main = spec.effective_hot_pages if spec.cold_prefix else spec.n_pages
+    prefix = spec.n_pages if spec.cold_prefix else 0
+    total = spec.access_count
 
-    page_chunks = []
-    write_chunks = []
-    if spec.cold_prefix:
-        page_chunks.append(np.arange(spec.n_pages, dtype=np.int64))
-        write_chunks.append(np.ones(spec.n_pages, dtype=bool))
-    for _ in range(spec.d_iters):
-        pages, writes = _pattern_pass(spec, n_main, rng)
-        page_chunks.append(pages)
-        write_chunks.append(writes)
-
-    gppn = np.concatenate(page_chunks)
-    is_write = np.concatenate(write_chunks)
-    total = len(gppn)
-    t = np.arange(total, dtype=np.int64) * spec.inter_access_gap_ns
+    gppn = np.empty(total, dtype=np.int64)
+    is_write = np.empty(total, dtype=bool)
+    gppn[:prefix] = np.arange(prefix, dtype=np.int64)
+    is_write[:prefix] = True
+    pages, writes = _pattern_pass(spec.pattern, n_main)
+    gppn[prefix:].reshape(spec.d_iters, len(pages))[:] = pages
+    pass_writes = is_write[prefix:].reshape(spec.d_iters, len(pages))
+    if writes is not None:
+        pass_writes[:] = writes
+    else:
+        rng = np.random.default_rng(spec.seed)
+        # The draws of the per-pass generator, call for call. One draw of all
+        # rows gives the same values only while PCG64 keeps its spare 32 bits.
+        for row in pass_writes:
+            np.less(rng.integers(0, 100, size=n_main), spec.wi, out=row)
+    t = np.arange(total, dtype=np.int64)
+    t *= spec.inter_access_gap_ns
     vcpu = np.zeros(total, dtype=np.int32)
 
     ground_truth = n_main  # distinct pages referenced after any prefix

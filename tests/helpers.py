@@ -12,6 +12,10 @@ dropped) that the engine does not report.
 writer and reader as they were before trace I/O moved onto arrays: one
 formatted string, and one parsed line, per access. The array paths must
 give the same bytes, and the same trace or ``TraceParseError``.
+
+``reference_generate`` is the workload generator as it was before it built
+one pass and repeated it: one pattern pass, with its own ``wi`` draw, per
+pass, and the passes concatenated. ``generate`` must give the same trace.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from pagelog.tracker import (
     TrackingConfig,
     TrackingMode,
 )
-from pagelog.trace import Trace
+from pagelog.trace import Pattern, Trace, WorkloadSpec
 
 
 def reference_run(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
@@ -205,3 +209,41 @@ def reference_read_trace(source: BinaryIO) -> Trace:
         np.array(writes, dtype=bool),
         ground_truth_wss_pages=ground_truth,
     )
+
+
+def _reference_pattern_pass(spec: WorkloadSpec, n: int, rng: np.random.Generator):
+    idx = np.arange(n, dtype=np.int64)
+    if spec.pattern is Pattern.WRITE_INTENSITY:
+        pages = idx
+        writes = rng.integers(0, 100, size=n) < spec.wi
+    elif spec.pattern is Pattern.RWRW:
+        pages = np.repeat(idx, 2)
+        writes = np.tile(np.array([False, True]), n)
+    elif spec.pattern is Pattern.RRWW:
+        pages = np.concatenate([idx, idx])
+        writes = np.concatenate([np.zeros(n, dtype=bool), np.ones(n, dtype=bool)])
+    else:
+        pages = np.concatenate([idx, idx])
+        writes = np.concatenate([np.ones(n, dtype=bool), np.zeros(n, dtype=bool)])
+    return pages, writes
+
+
+def reference_generate(spec: WorkloadSpec) -> Trace:
+    spec.validate()
+    rng = np.random.default_rng(spec.seed)
+    n_main = spec.effective_hot_pages if spec.cold_prefix else spec.n_pages
+    page_chunks = []
+    write_chunks = []
+    if spec.cold_prefix:
+        page_chunks.append(np.arange(spec.n_pages, dtype=np.int64))
+        write_chunks.append(np.ones(spec.n_pages, dtype=bool))
+    for _ in range(spec.d_iters):
+        pages, writes = _reference_pattern_pass(spec, n_main, rng)
+        page_chunks.append(pages)
+        write_chunks.append(writes)
+    gppn = np.concatenate(page_chunks)
+    is_write = np.concatenate(write_chunks)
+    total = len(gppn)
+    t = np.arange(total, dtype=np.int64) * spec.inter_access_gap_ns
+    vcpu = np.zeros(total, dtype=np.int32)
+    return Trace(t, vcpu, gppn, is_write, ground_truth_wss_pages=n_main)

@@ -1,9 +1,12 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from pagelog.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 SMALL_SCENARIO = """
 workload.pattern = rrww
@@ -80,6 +83,40 @@ def test_gen_file_bytes_pinned(tmp_path, args, sha256):
     out = tmp_path / "t.csv"
     assert main(["gen", *args, "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+# Digests of the reports of each scenarios/*.scn before trace generation
+# built one pass and repeated it: (run --json on stdout, run -o CSV file).
+REPORT_SHA256 = {
+    "cold_prefix": ("df290c55c1f378f43f30bd5a302d7ea06e19d5a5128d9a3d3c7663411b2844ff",
+                    "05e2ee2936cb41a9da3ee196aa850e0c50085423906c44fbeb4157e832e46baf"),
+    "pml_write_heavy": ("de1e7f1f2af179995bc80a9626fede6cefa1b47b1caebe46a7f8e91ecf58b561",
+                        "d0855ef5c97289a382144ea3f9a7edf552be17ea63d99907365c4dee0d753a0a"),
+    "rwrw_small": ("141a7221dd48174960cfb66d9c596fffb7645551147da8b6381e9578f2556f0d",
+                   "4c271e78fdabad97a07071529063094a8b963fe53486e6b3476d72c55a624acd"),
+}
+COMPARE_SHA256 = "c93f5835fde18cb6f9bcbbad27678600ecd6ceab60343cd314dc6d285c3f5c23"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_run_reports_pinned(name, tmp_path, capsys):
+    json_sha, csv_sha = REPORT_SHA256[name]
+    scenario = str(SCENARIOS / f"{name}.scn")
+    assert main(["run", scenario, "--json"]) == 0
+    assert _sha256(capsys.readouterr().out) == json_sha
+    out = tmp_path / "report.csv"
+    assert main(["run", scenario, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+
+
+def test_compare_scenarios_pinned(capsys):
+    assert sorted(p.stem for p in SCENARIOS.glob("*.scn")) == sorted(REPORT_SHA256)
+    assert main(["compare", *sorted(str(p) for p in SCENARIOS.glob("*.scn"))]) == 0
+    assert _sha256(capsys.readouterr().out) == COMPARE_SHA256
 
 
 def test_gen_malformed_flag_usage_error(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_read_trace, reference_write_trace
+from helpers import reference_generate, reference_read_trace, reference_write_trace
 from pagelog import trace as trace_mod
 from pagelog.errors import TraceParseError, ValidationError
 from pagelog.trace import (
@@ -213,6 +213,37 @@ def test_trace_constructor_rejects_decreasing_time():
         Trace(np.array([5, 4]), np.zeros(2), np.array([1, 2]), np.zeros(2, dtype=bool))
 
 
+def test_trace_constructor_accepts_full_int64_span():
+    # The order check used to take np.diff of t, which wraps past 2^63 - 1.
+    tr = Trace(np.array([-(2**63), 2**63 - 1]), np.zeros(2), np.array([1, 2]), np.zeros(2, dtype=bool))
+    assert tr.t.tolist() == [-(2**63), 2**63 - 1]
+    with pytest.raises(ValidationError, match="non-decreasing"):
+        Trace(np.array([2**63 - 1, -(2**63)]), np.zeros(2), np.array([1, 2]), np.zeros(2, dtype=bool))
+
+
+@st.composite
+def workload_specs(draw):
+    n_pages = draw(st.integers(1, 300))
+    return WorkloadSpec(
+        n_pages=n_pages,
+        pattern=draw(st.sampled_from(list(Pattern))),
+        d_iters=draw(st.integers(1, 40)),
+        wi=draw(st.integers(0, 100)),
+        hot_pages=draw(st.one_of(st.none(), st.integers(1, n_pages))),
+        cold_prefix=draw(st.booleans()),
+        seed=draw(st.one_of(st.integers(0, 5), st.integers(0, 2**32))),
+        inter_access_gap_ns=draw(st.one_of(st.sampled_from([0, 1, 100]), st.integers(0, 10**9))),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(workload_specs())
+def test_generate_matches_per_pass_reference(spec):
+    tr = generate(spec)
+    assert len(tr) == spec.access_count
+    assert tr == reference_generate(spec)
+
+
 @pytest.mark.parametrize("cold_prefix", [False, True])
 @pytest.mark.parametrize("pattern", list(Pattern))
 def test_gap_bounded_by_int64_timestamps(pattern, cold_prefix):
@@ -317,15 +348,14 @@ def test_read_trace_matches_per_line_reference(data, chunk):
 
 
 non_negative = st.one_of(st.sampled_from([0, 2**63 - 1, 2**31 - 1]), st.integers(0, 2**63 - 1))
-# Negative times only in traces of their own: Trace takes np.diff of t, which
-# wraps for spans beyond 2^63 - 1.
 negative = st.one_of(st.sampled_from([-1, -(2**63)]), st.integers(-(2**63), -1))
 
 
 @st.composite
 def traces(draw):
     n = draw(st.integers(0, 12))
-    t = sorted(draw(st.lists(draw(st.sampled_from([non_negative, negative])), min_size=n, max_size=n)))
+    times = draw(st.sampled_from([non_negative, negative, st.one_of(non_negative, negative)]))
+    t = sorted(draw(st.lists(times, min_size=n, max_size=n)))
     vcpu = draw(st.lists(st.one_of(st.sampled_from([0, 2**31 - 1, -(2**31)]),
                                    st.integers(-(2**31), 2**31 - 1)), min_size=n, max_size=n))
     gppn = draw(st.lists(non_negative, min_size=n, max_size=n))
