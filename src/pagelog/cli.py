@@ -106,10 +106,9 @@ def cmd_dist(args) -> int:
         raise ValidationError("mode: dist requires tracking mode pml or paml")
     obs = run(scenario).observations
     column = obs.distinct_pages if scenario.tracking.mode is TrackingMode.PML else obs.hot_pages
-    series = column.tolist()
-    converged_index = estimate_from_series(series, scenario.estimator).converged_index
+    converged_index = estimate_from_series(column, scenario.estimator).converged_index
     lines = ["i,t_ns,dist,is_convergence_point"]
-    for i, (t_ns, dist) in enumerate(zip(obs.t_ns.tolist(), series)):
+    for i, (t_ns, dist) in enumerate(zip(obs.t_ns.tolist(), column.tolist())):
         flag = 1 if i == converged_index else 0
         lines.append(f"{i},{t_ns},{dist},{flag}")
     _write_or_print("\n".join(lines) + "\n", args.output)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -109,33 +109,29 @@ def _m_bytes(wss_pages: int, params: EstimatorParams) -> int:
     return wss_pages * params.page_size + params.epsilon_bytes
 
 
-def estimate_from_series(dist_values: Iterable[int], params: EstimatorParams) -> WssEstimate:
+def estimate_from_series(dist: np.ndarray, params: EstimatorParams) -> WssEstimate:
     """Run the convergence loop over an observation series and build the estimate.
 
-    Stops pulling from ``dist_values`` as soon as the loop converges, like
-    the live estimation process would; unconverged, the estimate is the last
-    observation. Raises if the series decreases, since distinct-page counts
-    over a cumulative log are monotone.
+    The loop ends at the first ``i >= k`` with ``dist[i] == dist[i - k]``;
+    unconverged, the estimate is the last observation. Raises if the series
+    decreases up to that point, since counts over a cumulative log are
+    monotone; a live estimation process never sees what comes after it.
     """
     params.validate()
     k = params.window
-    dist: list[int] = []
-    converged_index = None
-    for value in dist_values:
-        if dist and value < dist[-1]:
-            raise ValidationError(
-                f"dist: observation {len(dist)} decreased ({value} < {dist[-1]})"
-            )
-        dist.append(value)
-        i = len(dist) - 1
-        if i >= k and dist[i] - dist[i - k] == 0:
-            converged_index = i
-            break
-    wss = dist[-1] if dist else 0
+    dist = np.asarray(dist, dtype=np.int64)
+    stable = np.flatnonzero(dist[k:] == dist[:-k])
+    converged_index = int(stable[0]) + k if len(stable) else None
+    seen = dist if converged_index is None else dist[:converged_index + 1]
+    decreases = np.flatnonzero(seen[1:] < seen[:-1])
+    if len(decreases):
+        i = int(decreases[0]) + 1
+        raise ValidationError(f"dist: observation {i} decreased ({seen[i]} < {seen[i - 1]})")
+    wss = int(seen[-1]) if len(seen) else 0
     return WssEstimate(
         wss_pages=wss,
         m_bytes=_m_bytes(wss, params),
-        observations=tuple(dist),
+        observations=tuple(seen.tolist()),
         converged=converged_index is not None,
         converged_index=converged_index,
     )

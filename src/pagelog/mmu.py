@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import trace as trace_mod
 from .errors import ValidationError
 from .trace import Trace
 
@@ -33,7 +34,6 @@ TLB_WALK_DIRTY = 2
 
 # Upper bound on TLB entries; Tlb allocates every set up front.
 MAX_TLB_ENTRIES = 65536
-_CHUNK = 1 << 19  # accesses per walk_codes step
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,8 @@ def walk_codes(trace: Trace, tlb_config: TlbConfig) -> np.ndarray:
     vcpu_ids = np.unique(trace.vcpu).tolist()
     tlbs = {v: Tlb(tlb_config) for v in vcpu_ids}
     codes = np.empty(len(trace), dtype=np.int8)
-    for lo in range(0, len(trace), _CHUNK):
-        chunk = slice(lo, lo + _CHUNK)
+    for lo in range(0, len(trace), trace_mod._CHUNK):
+        chunk = slice(lo, lo + trace_mod._CHUNK)
         gs, ws, vs = trace.gppn[chunk], trace.is_write[chunk], trace.vcpu[chunk]
         for v in vcpu_ids:
             mine = np.flatnonzero(vs == v)

@@ -38,6 +38,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import trace as trace_mod
 from .errors import ValidationError
 from .estimator import (
     DEFAULT_VMWARE_PERIOD_S,
@@ -223,8 +224,7 @@ class _EngineOutput(NamedTuple):
 
 # Upper bound on observations per run, as MAX_VMWARE_PERIODS bounds periods.
 MAX_OBSERVATIONS = 1_000_000
-_CHUNK = 1 << 19  # accesses per event-loop step
-_NEVER = 1 << 62  # busy_until while no handler batch is running
+_NEVER = 1 << 63  # busy_until while no handler batch runs: no earlier than any instant (<= 2^63)
 
 
 def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
@@ -288,8 +288,8 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
                 filled += 1
                 next_obs += mu
 
-    for lo in range(0, n, _CHUNK):
-        chunk = codes[lo:lo + _CHUNK]
+    for lo in range(0, n, trace_mod._CHUNK):
+        chunk = codes[lo:lo + trace_mod._CHUNK]
         walk = lo + np.flatnonzero(chunk == TLB_WALK_DIRTY if synchronous else chunk)
         for t, g, v, d in zip(trace.t[walk].tolist(), trace.gppn[walk].tolist(),
                               trace.vcpu[walk].tolist(), (codes[walk] == TLB_WALK_DIRTY).tolist()):
@@ -381,10 +381,10 @@ def _report(scenario: Scenario, trace: Trace, allocated: int,
     estimates: dict[str, WssEstimate] = {}
     native: Optional[WssEstimate] = None
     if ESTIMATOR_PRL in enabled:
-        native = estimate_from_series(out.observations.hot_pages.tolist(), params)
+        native = estimate_from_series(out.observations.hot_pages, params)
         estimates[ESTIMATOR_PRL] = native
     if ESTIMATOR_PML in enabled:
-        native = estimate_from_series(out.observations.distinct_pages.tolist(), params)
+        native = estimate_from_series(out.observations.distinct_pages, params)
         estimates[ESTIMATOR_PML] = native
     if ESTIMATOR_ORACLE in enabled:
         estimates[ESTIMATOR_ORACLE] = estimate_oracle(trace, params)

@@ -21,8 +21,8 @@ distinct page count.
 
 A generated trace is built in place: its columns are allocated once, the
 prefix is written first, and one main-loop pass is built once and repeated
-into the rest. The ``wi`` writes are drawn from the seeded stream one pass
-at a time, in pass order.
+into the rest. The ``wi`` writes of all passes are drawn from the seeded
+stream in blocks of at most ``_CHUNK`` rows, in pass order.
 
 File format: CSV text, one access per line, ``t,vcpu,gppn,R|W``, LF line
 endings, no header. An optional first line ``#wss=<pages>`` carries the
@@ -51,6 +51,7 @@ PAGE_SIZE = 4096  # bytes per guest page; all defaults assume 4 KB pages
 DEFAULT_INTER_ACCESS_GAP_NS = 100
 # Upper bound on the accesses of a generated workload; generate() holds them all.
 MAX_ACCESSES = 100_000_000
+_CHUNK = 1 << 18  # rows per step of every chunked stage, read at call time; bounds temporaries
 
 
 class Pattern(Enum):
@@ -126,7 +127,9 @@ class Trace:
     Columns: ``t`` (int64 ns, non-decreasing), ``vcpu`` (int32), ``gppn``
     (int64) and ``is_write`` (bool). ``ground_truth_wss_pages`` carries the
     generator's known hot-page count, or None for traces read from files
-    without the sidecar line.
+    without the sidecar line. The constructor refuses negative values and
+    integers that change in the cast to their column's dtype, which the file
+    format cannot carry: every trace round-trips through a file.
     """
 
     __slots__ = ("t", "vcpu", "gppn", "is_write", "ground_truth_wss_pages")
@@ -142,14 +145,20 @@ class Trace:
         n = len(t)
         if not (len(vcpu) == len(gppn) == len(is_write) == n):
             raise ValidationError("trace columns: lengths differ")
-        self.t = np.ascontiguousarray(t, dtype=np.int64)
-        self.vcpu = np.ascontiguousarray(vcpu, dtype=np.int32)
-        self.gppn = np.ascontiguousarray(gppn, dtype=np.int64)
+        self.t = _integer_column("t", t, np.int64)
+        self.vcpu = _integer_column("vcpu", vcpu, np.int32)
+        self.gppn = _integer_column("gppn", gppn, np.int64)
         self.is_write = np.ascontiguousarray(is_write, dtype=bool)
         if n and np.any(self.t[1:] < self.t[:-1]):
             raise ValidationError("t: timestamps must be non-decreasing")
+        if n and self.t[0] < 0:  # t is sorted: its first value is its least
+            raise ValidationError("t: must be non-negative")
+        if n and self.vcpu.min() < 0:
+            raise ValidationError("vcpu: must be non-negative")
         if n and self.gppn.min() < 0:
             raise ValidationError("gppn: must be non-negative")
+        if ground_truth_wss_pages is not None and ground_truth_wss_pages < 0:
+            raise ValidationError("ground_truth_wss_pages: must be non-negative")
         self.ground_truth_wss_pages = ground_truth_wss_pages
 
     def __len__(self) -> int:
@@ -160,7 +169,6 @@ class Trace:
             return NotImplemented
         return (
             self.ground_truth_wss_pages == other.ground_truth_wss_pages
-            and len(self) == len(other)
             and bool(np.array_equal(self.t, other.t))
             and bool(np.array_equal(self.vcpu, other.vcpu))
             and bool(np.array_equal(self.gppn, other.gppn))
@@ -180,6 +188,15 @@ class Trace:
 
     def distinct_pages(self) -> int:
         return int(np.unique(self.gppn).size) if len(self.gppn) else 0
+
+
+def _integer_column(name: str, values, dtype) -> np.ndarray:
+    """``values`` as a ``dtype`` array; refuses a cast that changes a value."""
+    values = np.asarray(values)
+    column = np.asarray(values, dtype=dtype)
+    if values.dtype != dtype and not np.array_equal(column, values):
+        raise ValidationError(f"{name}: values do not fit {np.dtype(dtype).name}")
+    return column
 
 
 def _pattern_pass(pattern: Pattern, n: int):
@@ -204,7 +221,7 @@ def generate(spec: WorkloadSpec) -> Trace:
     always yields an identical trace. The columns are allocated once; the
     main-loop pass is built once and repeated into them. The ``wi`` writes
     come from a seeded PCG64 stream, which is reproducible across
-    platforms: one draw of ``n`` values per pass, in pass order.
+    platforms: one value per access, in pass order.
     """
     spec.validate()
     n_main = spec.effective_hot_pages if spec.cold_prefix else spec.n_pages
@@ -213,22 +230,23 @@ def generate(spec: WorkloadSpec) -> Trace:
 
     gppn = np.empty(total, dtype=np.int64)
     is_write = np.empty(total, dtype=bool)
+    vcpu = np.zeros(total, dtype=np.int32)
     gppn[:prefix] = np.arange(prefix, dtype=np.int64)
     is_write[:prefix] = True
     pages, writes = _pattern_pass(spec.pattern, n_main)
     gppn[prefix:].reshape(spec.d_iters, len(pages))[:] = pages
-    pass_writes = is_write[prefix:].reshape(spec.d_iters, len(pages))
     if writes is not None:
-        pass_writes[:] = writes
+        is_write[prefix:].reshape(spec.d_iters, len(pages))[:] = writes
     else:
         rng = np.random.default_rng(spec.seed)
-        # The draws of the per-pass generator, call for call. One draw of all
-        # rows gives the same values only while PCG64 keeps its spare 32 bits.
-        for row in pass_writes:
-            np.less(rng.integers(0, 100, size=n_main), spec.wi, out=row)
+        # Blocks of the flat main loop draw the same values as one draw per
+        # pass: PCG64 keeps its spare 32-bit half across calls.
+        main = is_write[prefix:]
+        for lo in range(0, len(main), _CHUNK):
+            block = main[lo:lo + _CHUNK]
+            np.less(rng.integers(0, 100, size=len(block)), spec.wi, out=block)
     t = np.arange(total, dtype=np.int64)
     t *= spec.inter_access_gap_ns
-    vcpu = np.zeros(total, dtype=np.int32)
 
     ground_truth = n_main  # distinct pages referenced after any prefix
     return Trace(t, vcpu, gppn, is_write, ground_truth_wss_pages=ground_truth)
@@ -241,8 +259,7 @@ def generate(spec: WorkloadSpec) -> Trace:
 _WSS_SIDECAR = "#wss="
 _INT64_MAX = 2**63 - 1  # largest t and gppn the columns hold
 _INT32_MAX = 2**31 - 1  # largest vcpu
-_CHUNK = 1 << 18  # lines per step of the array reader and writer; bounds their temporaries
-_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # 10 .. 10^19: digit counts up to 2^64
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # 10 .. 10^18: digit counts below 2^63
 # The sidecar line as write_trace emits it; any other '#' line goes to the per-line parser.
 _CANONICAL_SIDECAR = re.compile(rb"#wss=(\d{1,18})\n")
 _PAD = 18  # bytes ahead of each reader chunk, so that every field has a full-width window
@@ -251,20 +268,18 @@ _PAD = 18  # bytes ahead of each reader chunk, so that every field has a full-wi
 def decimal_rows(pieces: Sequence[bytes], columns: Sequence[np.ndarray]) -> Iterator[tuple]:
     """Rows ``pieces[0] + str(columns[0][i]) + pieces[1] + ... + pieces[-1]`` as bytes.
 
-    Takes ``len(columns) + 1`` pieces and integer columns of one length.
-    Yields, for each chunk of up to ``_CHUNK`` rows, the chunk's rows
-    concatenated into one uint8 array, and the end offset of each row in it.
-    A column is written one digit position at a time over all rows, into a
-    matrix as wide as its widest value, and the unused cells are dropped.
+    Takes ``len(columns) + 1`` pieces and non-negative integer columns of one
+    length, with values below 2^63. Yields, for each chunk of up to
+    ``_CHUNK`` rows, the chunk's rows concatenated into one uint8 array, and
+    the end offset of each row in it. A column is written one digit position
+    at a time over all rows, into a matrix as wide as its widest value, and
+    the unused cells are dropped.
     """
     n = len(columns[0])
     fixed = sum(map(len, pieces))
     for lo in range(0, n, _CHUNK):
         chunk = [col[lo:lo + _CHUNK] for col in columns]
-        widths = []
-        for col in chunk:
-            mag, neg = _magnitude(col)
-            widths.append(np.searchsorted(_POW10, mag, side="right") + 1 + neg)
+        widths = [np.searchsorted(_POW10, col, side="right") + 1 for col in chunk]
         text = np.empty((len(chunk[0]), fixed + sum(int(w.max()) for w in widths)), np.uint8)
         keep = np.ones(text.shape, dtype=bool)
         pos = 0
@@ -273,29 +288,18 @@ def decimal_rows(pieces: Sequence[bytes], columns: Sequence[np.ndarray]) -> Iter
             pos += len(piece)
             if k == len(chunk):
                 break
-            mag, neg = _magnitude(chunk[k])
-            width = widths[k]
+            value, width = chunk[k].astype(np.int64), widths[k]
             w = int(width.max())
             block = text[:, pos:pos + w]
             for j in range(w - 1, -1, -1):
-                q = mag // 10
-                mag -= q * 10
-                block[:, j] = mag
-                mag = q
+                q = value // 10
+                value -= q * 10
+                block[:, j] = value
+                value = q
             block += ord("0")
-            rows = np.flatnonzero(neg)
-            block[rows, w - width[rows]] = ord("-")
             keep[:, pos:pos + w] = np.arange(w) >= (w - width)[:, None]
             pos += w
         yield text[keep], np.cumsum(sum(widths) + fixed)
-
-
-def _magnitude(col: np.ndarray) -> tuple:
-    """``|col|`` as uint64, -2^63 included, and where ``col`` is negative."""
-    neg = col < 0
-    mag = col.astype(np.uint64)
-    np.negative(mag, out=mag, where=neg)  # two's complement
-    return mag, neg
 
 
 def write_trace(trace: Trace, sink: BinaryIO) -> None:

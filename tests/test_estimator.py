@@ -24,71 +24,80 @@ def params(tau=50, mu_s=1 * MS, omega_s=4 * MS, epsilon=0, page_size=4096):
 
 def test_converges_at_first_flat_window():
     p = params()
-    est = estimate_from_series(iter([0, 1, 2, 3, 4, 4, 4, 4, 4]), p)
+    est = estimate_from_series(np.array([0, 1, 2, 3, 4, 4, 4, 4, 4]), p)
     assert est.converged and est.converged_index == 8
     assert est.observations == (0, 1, 2, 3, 4, 4, 4, 4, 4)
+    assert all(type(v) is int for v in est.observations)
     assert est.wss_pages == 4
 
 
 def test_flat_zero_prefix_converges_to_zero():
     p = params()
-    est = estimate_from_series(iter([0, 0, 0, 0, 0, 7]), p)
+    est = estimate_from_series(np.array([0, 0, 0, 0, 0, 7]), p)
     assert est.converged and est.converged_index == 4
-    assert est.observations[-1] == est.wss_pages == 0  # the sixth sample is never pulled
+    assert est.observations == (0, 0, 0, 0, 0)  # the sixth sample comes after convergence
+    assert est.wss_pages == 0
 
 
-def test_stops_pulling_after_convergence():
-    pulls = []
-
-    def series():
-        for i, v in enumerate([1, 1, 1, 1, 1, 1, 1, 1]):
-            pulls.append(i)
-            yield v
-
-    est = estimate_from_series(series(), params())
+def test_decrease_after_convergence_is_not_an_error():
+    # The live estimation process stops at convergence and never sees the rest.
+    est = estimate_from_series(np.array([1, 1, 1, 1, 1, 0, 7, 2]), params())
     assert est.converged_index == 4
-    assert len(pulls) == 5
+    assert est.observations == (1, 1, 1, 1, 1) and est.wss_pages == 1
+    with pytest.raises(ValidationError, match=r"dist: observation 4 decreased \(0 < 1\)"):
+        estimate_from_series(np.array([1, 1, 1, 1, 0, 0]), params())
 
 
 def test_unconverged_series():
-    est = estimate_from_series(iter([1, 2, 3, 4, 5, 6]), params())
+    est = estimate_from_series(np.array([1, 2, 3, 4, 5, 6]), params())
     assert not est.converged and est.converged_index is None
     assert est.wss_pages == 6  # the last observation
 
 
 def test_empty_series():
-    est = estimate_from_series(iter([]), params())
+    est = estimate_from_series(np.array([]), params())
     assert est.wss_pages == 0 and not est.converged
 
 
 def test_monotonicity_enforced():
     with pytest.raises(ValidationError, match="dist"):
-        estimate_from_series(iter([3, 2]), params())
+        estimate_from_series(np.array([3, 2]), params())
 
 
 def test_convergence_index_matches_bruteforce():
+    # The brute force is the live loop: it reads one observation at a time and
+    # stops at convergence, so only a decrease up to there is an error.
     rng = np.random.default_rng(4)
     p = params(omega_s=3 * MS)
     k = p.window
     assert k == 3
-    for _ in range(50):
-        steps = rng.integers(0, 3, size=12)
+    for _ in range(200):
+        choices = [-1, 0, 0, 1, 2] if rng.integers(0, 4) == 0 else [0, 1, 2]
+        steps = rng.choice(choices, size=12)
         series = np.cumsum(steps).tolist()
-        est = estimate_from_series(iter(series), p)
-        expected = None
+        expected = "unconverged"
         for i in range(len(series)):
+            if i and series[i] < series[i - 1]:
+                expected = f"dist: observation {i} decreased ({series[i]} < {series[i - 1]})"
+                break
             if i >= k and series[i] - series[i - k] == 0:
                 expected = i
                 break
-        if expected is None:
-            assert not est.converged
+        try:
+            est = estimate_from_series(np.array(series), p)
+        except ValidationError as exc:
+            assert str(exc) == expected
+            continue
+        if expected == "unconverged":
+            assert not est.converged and est.observations == tuple(series)
         else:
             assert est.converged and est.converged_index == expected
+            assert est.observations == tuple(series[:expected + 1])
 
 
 def test_omega_must_be_multiple_of_mu():
     with pytest.raises(ValidationError, match="omega"):
-        estimate_from_series(iter([0]), EstimatorParams(mu_s=0.3, omega_s=1.0))
+        estimate_from_series(np.array([0]), EstimatorParams(mu_s=0.3, omega_s=1.0))
 
 
 @pytest.mark.parametrize(
@@ -115,11 +124,13 @@ def test_params_validation(kwargs, field):
 
 
 def _observed(snapshots, tau, counter):
-    """Fold one snapshot per observation into a log; yield its ``counter`` after each."""
+    """Fold one snapshot per observation into a log; its ``counter`` after each."""
     log = CumulativeLog(hot_threshold=tau)
+    series = []
     for snap in snapshots:
         log.add_snapshot(snap)
-        yield getattr(log, counter)
+        series.append(getattr(log, counter))
+    return np.array(series)
 
 
 def test_single_hot_page():
@@ -152,7 +163,7 @@ def test_eq1_consistency_property():
         page = int(rng.choice([512, 4096, 16384]))
         p = params(tau=1, epsilon=eps, page_size=page)
         wss = int(rng.integers(0, 3000))
-        est = estimate_from_series(iter([wss] * 5), p)
+        est = estimate_from_series(np.array([wss] * 5), p)
         assert (est.m_bytes - eps) % page == 0
         assert (est.m_bytes - eps) // page == est.wss_pages
 

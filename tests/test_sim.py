@@ -10,7 +10,7 @@ from helpers import reference_run
 
 from pagelog.errors import ValidationError
 from pagelog.estimator import DEFAULT_VMWARE_PERIOD_S, DEFAULT_VMWARE_SAMPLE_SIZE, EstimatorParams
-from pagelog import mmu, sim
+from pagelog import sim
 from pagelog import trace as trace_mod
 from pagelog.mmu import TLB_HIT, Tlb, TlbConfig, walk_codes
 from pagelog.sim import (
@@ -52,11 +52,11 @@ def test_run_is_deterministic():
 @pytest.mark.parametrize("chunk", [None, 1, 3, 7])
 def test_report_to_json_is_the_indented_dump(chunk, monkeypatch):
     # report_to_json writes the observations from their columns; the text must
-    # be that of the plain dump, negative instants and chunk seams included.
+    # be that of the plain dump, early instants and chunk seams included.
     if chunk is not None:
         monkeypatch.setattr(trace_mod, "_CHUNK", chunk)
     sc = paml_scenario(WorkloadSpec(n_pages=300, pattern=Pattern.RRWW, d_iters=20), mu_s=2e-5)
-    early = Trace(np.array([-5000, -100, 3000]), np.array([0, 1, 0]), np.array([1, 2, 3]),
+    early = Trace(np.array([0, 100, 8000]), np.array([0, 1, 0]), np.array([1, 2, 3]),
                   np.array([True, False, True]))
     empty = Trace(*(np.zeros(0, dtype) for dtype in (np.int64, np.int32, np.int64, bool)))
     for report in (run(sc), run(sc, trace=early), run(sc, trace=empty)):
@@ -213,8 +213,7 @@ def test_chunk_seams_match_reference(case, chunk):
     # between a page's accesses and between a round's entries.
     trace, tracking, tlb, params = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mmu, "_CHUNK", chunk)
-        mp.setattr(sim, "_CHUNK", chunk)
+        mp.setattr(trace_mod, "_CHUNK", chunk)
         codes = walk_codes(trace, tlb)
         out = sim._simulate(trace, codes, tracking, params)
     assert codes.dtype == np.int8
@@ -562,6 +561,27 @@ def test_clock_starts_at_first_access():
         (o.t_ns, o.hot_pages, o.distinct_pages) for o in a.observations]
     assert b.estimates == a.estimates
     assert a.estimates[ESTIMATOR_PRL].wss_pages > 0
+
+
+@pytest.mark.parametrize("mode,native", [(TrackingMode.PAML, ESTIMATOR_PRL),
+                                         (TrackingMode.PML, ESTIMATOR_PML)])
+def test_run_over_full_int64_span(mode, native):
+    # An access past 2^62 ns used to make the event loop fold the handler
+    # batch of an idle handler, and end in a TypeError.
+    trace = Trace(np.array([0, 2**63 - 1]), np.zeros(2), np.array([1, 2]), np.ones(2, dtype=bool))
+    sc = Scenario(
+        workload=WorkloadSpec(n_pages=3, pattern=Pattern.RWRW),
+        tracking=TrackingConfig(mode=mode, buffer_entries=2),
+        estimator=EstimatorParams(tau=1, mu_s=1e4, omega_s=4e4),
+        estimators_enabled=frozenset({native, ESTIMATOR_VMWARE, ESTIMATOR_ORACLE}),
+        vmware_sample_size=2,
+    )
+    rep = run(sc, trace=trace)
+    assert rep.span_ns == 2**63 - 1
+    assert len(rep.observations) == (2**63 - 1) // 10**13 + 1
+    assert tuple(rep.observations[-1]) == (2**63 - 1, rep.log_distinct, rep.log_distinct)
+    assert rep.walks == 2 and rep.log_total == rep.stats.logged
+    assert rep.estimates[ESTIMATOR_ORACLE].wss_pages == 2
 
 
 def test_vmware_periods_bounded():

@@ -215,10 +215,32 @@ def test_trace_constructor_rejects_decreasing_time():
 
 def test_trace_constructor_accepts_full_int64_span():
     # The order check used to take np.diff of t, which wraps past 2^63 - 1.
-    tr = Trace(np.array([-(2**63), 2**63 - 1]), np.zeros(2), np.array([1, 2]), np.zeros(2, dtype=bool))
-    assert tr.t.tolist() == [-(2**63), 2**63 - 1]
+    tr = Trace(np.array([0, 2**63 - 1]), np.zeros(2), np.array([1, 2]), np.zeros(2, dtype=bool))
+    assert tr.t.tolist() == [0, 2**63 - 1]
+    assert tr.span_ns == 2**63 - 1
     with pytest.raises(ValidationError, match="non-decreasing"):
-        Trace(np.array([2**63 - 1, -(2**63)]), np.zeros(2), np.array([1, 2]), np.zeros(2, dtype=bool))
+        Trace(np.array([2**63 - 1, 0]), np.zeros(2), np.array([1, 2]), np.zeros(2, dtype=bool))
+
+
+@pytest.mark.parametrize(
+    "t,vcpu,wss,match",
+    [
+        ([-1, 5], [0, 0], None, "t: must be non-negative"),
+        ([-(2**63), 2**63 - 1], [0, 0], None, "t: must be non-negative"),
+        ([0, 5], [0, -1], None, "vcpu: must be non-negative"),
+        ([0, 5], [0, 0], -1, "ground_truth_wss_pages: must be non-negative"),
+        ([0, 5], [0, 2**31], None, "vcpu: values do not fit int32"),
+        ([0, 5], [0, 2**32], None, "vcpu: values do not fit int32"),
+        ([0, 0.5], [0, 0], None, "t: values do not fit int64"),
+    ],
+)
+def test_trace_constructor_refuses_what_files_cannot_carry(t, vcpu, wss, match):
+    # Each used to be accepted: negative values were written to files that
+    # read_trace refuses, vcpu = 2^32 wrapped to 0, and the span of
+    # t = [-2^63, 2^63 - 1] wrapped to -1.
+    with pytest.raises(ValidationError, match=match):
+        Trace(np.array(t), np.array(vcpu), np.array([1, 2]), np.zeros(2, dtype=bool),
+              ground_truth_wss_pages=wss)
 
 
 @st.composite
@@ -237,11 +259,21 @@ def workload_specs(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(workload_specs())
-def test_generate_matches_per_pass_reference(spec):
-    tr = generate(spec)
+@given(workload_specs(), st.sampled_from([None, 7]))
+def test_generate_matches_per_pass_reference(spec, chunk):
+    # With 7-row blocks, the seams of the wi draws fall inside passes.
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(trace_mod, "_CHUNK", chunk)
+        tr = generate(spec)
     assert len(tr) == spec.access_count
     assert tr == reference_generate(spec)
+
+
+def test_generate_many_tiny_passes():
+    # One draw per pass used to take 8.3 s for n_pages = 1, d_iters = 10^6.
+    spec = WorkloadSpec(n_pages=1, pattern=Pattern.WRITE_INTENSITY, wi=30, d_iters=50_000, seed=3)
+    assert generate(spec) == reference_generate(spec)
 
 
 @pytest.mark.parametrize("cold_prefix", [False, True])
@@ -348,16 +380,14 @@ def test_read_trace_matches_per_line_reference(data, chunk):
 
 
 non_negative = st.one_of(st.sampled_from([0, 2**63 - 1, 2**31 - 1]), st.integers(0, 2**63 - 1))
-negative = st.one_of(st.sampled_from([-1, -(2**63)]), st.integers(-(2**63), -1))
 
 
 @st.composite
 def traces(draw):
     n = draw(st.integers(0, 12))
-    times = draw(st.sampled_from([non_negative, negative, st.one_of(non_negative, negative)]))
-    t = sorted(draw(st.lists(times, min_size=n, max_size=n)))
-    vcpu = draw(st.lists(st.one_of(st.sampled_from([0, 2**31 - 1, -(2**31)]),
-                                   st.integers(-(2**31), 2**31 - 1)), min_size=n, max_size=n))
+    t = sorted(draw(st.lists(non_negative, min_size=n, max_size=n)))
+    vcpu = draw(st.lists(st.one_of(st.sampled_from([0, 2**31 - 1]), st.integers(0, 2**31 - 1)),
+                         min_size=n, max_size=n))
     gppn = draw(st.lists(non_negative, min_size=n, max_size=n))
     is_write = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     wss = draw(st.one_of(st.none(), st.sampled_from([0, 2**63 - 1]), st.integers(0, 10**6)))
@@ -368,14 +398,14 @@ def traces(draw):
 @settings(max_examples=300, deadline=None)
 @given(traces(), st.sampled_from([None, 1, 3, 7]))
 def test_write_trace_matches_per_line_reference(tr, chunk):
+    # Every trace the constructor accepts round-trips through a file.
     ours, ref = io.BytesIO(), io.BytesIO()
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:
             mp.setattr(trace_mod, "_CHUNK", chunk)
         write_trace(tr, ours)
-        if tr.t.min(initial=0) >= 0 and tr.vcpu.min(initial=0) >= 0:
-            ours.seek(0)
-            assert read_trace(ours) == tr
+        ours.seek(0)
+        assert read_trace(ours) == tr
     reference_write_trace(tr, ref)
     assert ours.getvalue() == ref.getvalue()
 
