@@ -31,6 +31,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from . import trace as trace_mod
 from .errors import PredicateContractError, ValidationError
 from .trace import PAGE_SIZE, Trace
 
@@ -39,7 +40,8 @@ DEFAULT_MU_S = 30.0
 DEFAULT_OMEGA_S = 120.0
 DEFAULT_VMWARE_SAMPLE_SIZE = 100
 DEFAULT_VMWARE_PERIOD_S = 30.0
-# Upper bound on sampling periods per run; each costs about 36 us.
+# Upper bound on sampling periods per run; at 100 samples each costs about
+# 11 us, nearly all of it the period's rng.choice draw.
 MAX_VMWARE_PERIODS = 1_000_000
 
 _NS_PER_S = 1_000_000_000
@@ -193,16 +195,35 @@ def estimate_vmware(
             f"more than {MAX_VMWARE_PERIODS}"
         )
 
+    # Each block of periods draws its samples in period order, as one
+    # rng.choice per period, and counts every period's faulted pages with one
+    # isin over (period, page) keys. Pages of the trace beyond the allocation
+    # get keys of their own; accesses go in chunks, which bound temporaries.
+    # A block's int64 sample keys fill at most _CHUNK bytes: blocks of _CHUNK
+    # keys (2 MiB) raised glibc's mmap threshold, and the next trace read then
+    # faulted more pages.
     rng = np.random.default_rng(seed)
-    per_period: list[int] = []
-    for k in range(max(n_periods, 1)):
+    n = max(n_periods, 1)
+    stride = max(allocated_pages, trace.max_gppn + 1)
+    block = max(1, min(trace_mod._CHUNK // 8 // sample_size, trace_mod._INT64_MAX // stride))
+    faulted = np.empty(n, dtype=np.int64)
+    for k in range(0, n, block):
+        b = min(block, n - k)
+        sampled = np.empty((b, sample_size), dtype=np.int64)
+        for row in sampled:
+            row[:] = rng.choice(allocated_pages, size=sample_size, replace=False)
+        sampled += np.arange(0, b * stride, stride, dtype=np.int64)[:, None]
         start = t0 + k * period_ns
         # With no completed period, the open one runs up to until_ns inclusive.
-        end = start + period_ns if n_periods > 0 else until_ns + 1
-        sample = rng.choice(allocated_pages, size=sample_size, replace=False)
+        end = start + b * period_ns if n_periods > 0 else until_ns + 1
         lo, hi = np.searchsorted(t, (start, end), side="left")
-        faulted = int(np.isin(sample, g[lo:hi]).sum())
-        per_period.append(round(faulted / sample_size * allocated_pages))
+        hit = np.zeros(sampled.shape, dtype=bool)
+        for a in range(lo, hi, trace_mod._CHUNK):
+            z = min(a + trace_mod._CHUNK, hi)
+            keys = (t[a:z] - start) // period_ns * stride + g[a:z]
+            hit |= np.isin(sampled, keys)
+        faulted[k:k + b] = hit.sum(axis=1)
+    per_period = [round(f / sample_size * allocated_pages) for f in faulted.tolist()]
     wss = per_period[-1]
     return WssEstimate(
         wss_pages=wss,

@@ -100,7 +100,7 @@ def walk_codes(trace: Trace, tlb_config: TlbConfig) -> np.ndarray:
 
     Each TLB lives for the whole trace; chunks only bound the index columns.
     """
-    vcpu_ids = np.unique(trace.vcpu).tolist()
+    vcpu_ids = trace.vcpu_ids()
     tlbs = {v: Tlb(tlb_config) for v in vcpu_ids}
     codes = np.empty(len(trace), dtype=np.int8)
     for lo in range(0, len(trace), trace_mod._CHUNK):

@@ -232,7 +232,7 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
     """Run the event loop over the walks in ``codes`` that the tracking mode can log."""
     synchronous = tracking.mode is TrackingMode.PML
     log = CumulativeLog(params.tau)
-    trackers = {v: Tracker(tracking) for v in np.unique(trace.vcpu).tolist()}
+    trackers = {v: Tracker(tracking) for v in trace.vcpu_ids()}
     observe = {v: tracker.observe_raw for v, tracker in trackers.items()}
 
     n = len(trace)
@@ -343,6 +343,11 @@ def _checked(scenario: Scenario, trace: Optional[Trace]) -> tuple:
     if len(trace) and trace.max_gppn >= allocated:
         raise ValidationError(
             f"vm_pages: trace references page {trace.max_gppn} outside the "
+            f"{allocated}-page allocation"
+        )
+    if ESTIMATOR_VMWARE in scenario.estimators_enabled and scenario.vmware_sample_size > allocated:
+        raise ValidationError(
+            f"vmware.sample_size: {scenario.vmware_sample_size} samples exceed the "
             f"{allocated}-page allocation"
         )
     n_obs = trace.span_ns // scenario.estimator.mu_ns

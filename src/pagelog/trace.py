@@ -186,6 +186,13 @@ class Trace:
     def max_gppn(self) -> int:
         return int(self.gppn.max()) if len(self.gppn) else -1
 
+    def vcpu_ids(self) -> list:
+        """The distinct vCPU ids, ascending: a sort, then each value unlike its predecessor."""
+        ids = np.sort(self.vcpu)
+        first = np.ones(len(ids), dtype=bool)
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        return ids[first].tolist()
+
     def distinct_pages(self) -> int:
         return int(np.unique(self.gppn).size) if len(self.gppn) else 0
 

@@ -16,6 +16,10 @@ give the same bytes, and the same trace or ``TraceParseError``.
 ``reference_generate`` is the workload generator as it was before it built
 one pass and repeated it: one pattern pass, with its own ``wi`` draw, per
 pass, and the passes concatenated. ``generate`` must give the same trace.
+
+``reference_vmware`` is the sampling baseline as it was before it sampled in
+blocks of periods: one sample draw, one ``searchsorted`` and one ``isin`` per
+period. ``estimate_vmware`` must give the same series and estimate.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from typing import BinaryIO, Optional
 
 import numpy as np
 
-from pagelog.errors import TraceParseError
-from pagelog.estimator import EstimatorParams
+from pagelog.errors import TraceParseError, ValidationError
+from pagelog.estimator import MAX_VMWARE_PERIODS, EstimatorParams, whole_ns
 from pagelog.handler import CumulativeLog, batch_duration_ns, handle_full
 from pagelog.mmu import TLB_HIT, TLB_WALK_DIRTY, Tlb, TlbConfig
 from pagelog.tracker import (
@@ -247,3 +251,27 @@ def reference_generate(spec: WorkloadSpec) -> Trace:
     t = np.arange(total, dtype=np.int64) * spec.inter_access_gap_ns
     vcpu = np.zeros(total, dtype=np.int32)
     return Trace(t, vcpu, gppn, is_write, ground_truth_wss_pages=n_main)
+
+
+def reference_vmware(trace: Trace, allocated_pages: int, sample_size: int, period_s: float,
+                     seed: int, until_ns: Optional[int] = None) -> tuple:
+    """``(observations, wss_pages)`` of the sampling baseline, one period at a time."""
+    period_ns = whole_ns("period_s", period_s)
+    t = trace.t
+    g = trace.gppn
+    t0 = int(t[0]) if len(t) else 0
+    if until_ns is None:
+        until_ns = int(t[-1]) if len(t) else 0
+    n_periods = (until_ns - t0) // period_ns
+    if n_periods > MAX_VMWARE_PERIODS:
+        raise ValidationError("vmware.period_s: too many sampling periods")
+    rng = np.random.default_rng(seed)
+    per_period: list[int] = []
+    for k in range(max(n_periods, 1)):
+        start = t0 + k * period_ns
+        end = start + period_ns if n_periods > 0 else until_ns + 1
+        sample = rng.choice(allocated_pages, size=sample_size, replace=False)
+        lo, hi = np.searchsorted(t, (start, end), side="left")
+        faulted = int(np.isin(sample, g[lo:hi]).sum())
+        per_period.append(round(faulted / sample_size * allocated_pages))
+    return tuple(per_period), per_period[-1]

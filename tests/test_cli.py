@@ -212,6 +212,17 @@ def test_run_interval_below_1ns_exit1(tmp_path, capsys, key):
     assert key.split(".")[1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_vmware_sample_larger_than_allocation_exit1(tmp_path, capsys, command):
+    # The default 100 samples cannot be drawn from 3 pages; the run used to
+    # fail inside the sampling baseline with a message naming sample_size alone.
+    bad = tmp_path / "bad.scn"
+    bad.write_text("workload.pattern = rwrw\nworkload.n_pages = 3\nvm_pages = 3\n"
+                   "estimators = prl, vmware\n")
+    assert main([command, str(bad)]) == 1
+    assert "vmware.sample_size" in capsys.readouterr().err
+
+
 def test_run_bad_trace_file_exit2(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     trace.write_text("0,0,7,X\n")

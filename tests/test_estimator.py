@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_vmware
+
+from pagelog import trace as trace_mod
 from pagelog.errors import PredicateContractError, ValidationError
 from pagelog.estimator import (
     EstimatorParams,
@@ -260,6 +265,63 @@ def test_vmware_deterministic_per_seed():
     a = estimate_vmware(tr, 3000, params(), period_s=300 * 100 / 1e9, seed=42)
     b = estimate_vmware(tr, 3000, params(), period_s=300 * 100 / 1e9, seed=42)
     assert a == b
+
+
+@st.composite
+def vmware_cases(draw):
+    """A random 0-4-vCPU trace, allocation, sample, period, seed and end instant."""
+    n = draw(st.integers(0, 120))
+    t = draw(st.integers(0, 500)) + np.cumsum(
+        draw(st.lists(st.sampled_from([0, 1, 10, 100]), min_size=n, max_size=n)), dtype=np.int64)
+    vcpu = draw(st.lists(st.sampled_from(draw(st.lists(st.integers(0, 2**31 - 1), min_size=1,
+                                                       max_size=4))), min_size=n, max_size=n))
+    # Pages up to 80 against allocations of at most 60: a direct caller may
+    # pass a trace that touches pages outside the allocation.
+    gppn = draw(st.lists(st.integers(0, 80), min_size=n, max_size=n))
+    trace = Trace(t, np.array(vcpu, dtype=np.int32), np.array(gppn, dtype=np.int64),
+                  np.zeros(n, dtype=bool))
+    allocated = draw(st.integers(1, 60))
+    sample_size = min(draw(st.sampled_from([1, 2, 3]) | st.integers(1, 60)), allocated)
+    span = trace.span_ns
+    period_ns = draw(st.integers(max(1, span // 64), 2 * max(1, span)))
+    t0 = int(t[0]) if n else 0
+    k = draw(st.integers(0, span // period_ns + 2))
+    until = draw(st.sampled_from([
+        None,
+        t0 - draw(st.integers(1, 100)),         # before the first access
+        t0 + k * period_ns + period_ns // 2,    # in the middle of a period
+        t0 + k * period_ns,                     # on a period boundary
+    ]))
+    return trace, allocated, sample_size, period_ns / 1e9, draw(st.integers(0, 2**32)), until
+
+
+@settings(max_examples=300, deadline=None)
+@given(vmware_cases(), st.sampled_from([None, 1, 3, 7, 24, 56]))
+def test_vmware_matches_per_period_reference(case, chunk):
+    # Blocks hold _CHUNK // 8 // sample_size periods (at least one), and
+    # accesses go in chunks of _CHUNK rows, so tiny chunks put block seams
+    # between periods and access seams inside them. The per-period draws keep
+    # the rng stream.
+    trace, allocated, sample_size, period_s, seed, until = case
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(trace_mod, "_CHUNK", chunk)
+        est = estimate_vmware(trace, allocated, params(), sample_size=sample_size,
+                              period_s=period_s, seed=seed, until_ns=until)
+    observations, wss = reference_vmware(trace, allocated, sample_size, period_s, seed, until)
+    assert est.observations == observations
+    assert est.wss_pages == wss
+    assert all(type(v) is int for v in est.observations)
+
+
+@pytest.mark.parametrize("allocated", [2**61, 2**62, 2**63 - 1])
+def test_vmware_huge_allocation_matches_reference(allocated):
+    # Keys of period x allocation + page must fit int64: a block holds 3
+    # periods at 2^61 pages and one from 2^62 up.
+    tr = _uniform_trace(7, 8, gap=10)
+    est = estimate_vmware(tr, allocated, params(), sample_size=2, period_s=30e-9, seed=3)
+    assert (est.observations, est.wss_pages) == reference_vmware(tr, allocated, 2, 30e-9, 3)
+    assert len(est.observations) == 18
 
 
 # -- kernel footprint probe ------------------------------------------------------

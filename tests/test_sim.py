@@ -163,8 +163,9 @@ def test_engine_matches_reference_composition():
 
 @st.composite
 def multi_vcpu_runs(draw):
-    """A random 1-4-vCPU trace with sparse vCPU ids, plus engine settings."""
-    vcpu_ids = draw(st.lists(st.integers(0, 1000), min_size=1, max_size=4, unique=True))
+    """A random 1-4-vCPU trace with sparse vCPU ids up to the int32 edge, plus engine settings."""
+    vcpu_ids = draw(st.lists(st.integers(0, 1000) | st.just(2**31 - 1), min_size=1, max_size=4,
+                             unique=True))
     n = draw(st.integers(1, 300))
     n_pages = draw(st.integers(1, 80))
     gaps = draw(st.lists(st.sampled_from([0, 1, 10, 100]), min_size=n, max_size=n))
@@ -593,6 +594,23 @@ def test_vmware_periods_bounded():
     )
     with pytest.raises(ValidationError, match="vmware.period_s"):
         run(sc)
+
+
+def test_vmware_sample_larger_than_allocation_fails_before_the_walk_stage(monkeypatch):
+    # The default 100 samples cannot be drawn from 3 pages. The run used to
+    # fail inside estimate_vmware, after the walk stage and the event loop.
+    def walk_stage(*args):
+        raise AssertionError("the walk stage ran")
+
+    monkeypatch.setattr(sim, "walk_codes", walk_stage)
+    sc = Scenario(workload=WorkloadSpec(n_pages=3, pattern=Pattern.RWRW), vm_pages=3,
+                  estimators_enabled=frozenset({ESTIMATOR_PRL, ESTIMATOR_VMWARE}))
+    message = r"^vmware\.sample_size: 100 samples exceed the 3-page allocation$"
+    with pytest.raises(ValidationError, match=message):
+        run(sc)
+    # The paml pass of a paired run always samples, whatever the scenario enables.
+    with pytest.raises(ValidationError, match=message):
+        run_paired(dataclasses.replace(sc, estimators_enabled=frozenset({ESTIMATOR_ORACLE})))
 
 
 def test_observations_bounded():
