@@ -24,13 +24,13 @@ from pathlib import Path
 from .errors import TraceParseError, ValidationError
 from .estimator import estimate_from_series
 from .sim import (
+    NATIVE,
     load_scenario,
     report_to_json,
     run,
     run_paired,
 )
 from .trace import Pattern, WorkloadSpec, generate, write_trace_file
-from .tracker import TrackingMode
 
 OUTDIR_ENV = "PAGELOG_OUTDIR"
 
@@ -102,10 +102,10 @@ def cmd_compare(args) -> int:
 
 def cmd_dist(args) -> int:
     scenario = load_scenario(args.scenario)
-    if scenario.tracking.mode is TrackingMode.OFF:
+    if scenario.tracking.mode not in NATIVE:
         raise ValidationError("mode: dist requires tracking mode pml or paml")
     obs = run(scenario).observations
-    column = obs.distinct_pages if scenario.tracking.mode is TrackingMode.PML else obs.hot_pages
+    column = obs[NATIVE[scenario.tracking.mode][1]]
     converged_index = estimate_from_series(column, scenario.estimator).converged_index
     lines = ["i,t_ns,dist,is_convergence_point"]
     for i, (t_ns, dist) in enumerate(zip(obs.t_ns.tolist(), column.tolist())):

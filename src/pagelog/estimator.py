@@ -43,6 +43,9 @@ DEFAULT_VMWARE_PERIOD_S = 30.0
 # Upper bound on sampling periods per run; at 100 samples each costs about
 # 11 us, nearly all of it the period's rng.choice draw.
 MAX_VMWARE_PERIODS = 1_000_000
+# Upper bound on samples per period: one period's int64 keys fit the block
+# budget of estimate_vmware, _CHUNK // 8 keys.
+MAX_VMWARE_SAMPLE_SIZE = 1 << 15
 
 _NS_PER_S = 1_000_000_000
 
@@ -178,8 +181,8 @@ def estimate_vmware(
     params.validate()
     if allocated_pages < 1:
         raise ValidationError("allocated_pages: must be >= 1")
-    if sample_size < 1:
-        raise ValidationError("sample_size: must be >= 1")
+    if not 1 <= sample_size <= MAX_VMWARE_SAMPLE_SIZE:
+        raise ValidationError(f"sample_size: must be within 1..{MAX_VMWARE_SAMPLE_SIZE}")
     if sample_size > allocated_pages:
         raise ValidationError("sample_size: must not exceed allocated pages")
     period_ns = whole_ns("period_s", period_s)

@@ -14,7 +14,7 @@ that long before the transfer becomes visible.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import ProtocolError
 from .tracker import Tracker
@@ -57,32 +57,26 @@ class CumulativeLog:
         return len(self.counts)
 
 
-def batch_duration_ns(vcpus: Sequence[int], trackers: Mapping[int, Tracker]) -> int:
-    """Virtual time one invocation needs for the held rounds of ``vcpus``."""
-    return sum(len(trackers[v].round) * trackers[v].config.handler_latency_per_entry_ns
-               for v in vcpus)
+def batch_duration_ns(batch: Sequence[Tracker]) -> int:
+    """Virtual time one invocation needs for the held rounds of ``batch``."""
+    return sum(len(t.round) * t.config.handler_latency_per_entry_ns for t in batch)
 
 
-def handle_full(vcpus: Sequence[int], log: CumulativeLog,
-                trackers: Mapping[int, Tracker]) -> None:
-    """Fold the held round of each listed vCPU into the log, then reset its index.
+def handle_full(batch: Sequence[Tracker], log: CumulativeLog) -> None:
+    """Fold the held round of each tracker in ``batch`` into the log, then reset its index.
 
-    ``trackers`` maps each vCPU to its tracker. Every vCPU is listed once,
-    and its tracker must be stopped by a full event (negative index); a
-    folded round is gone with its reset, so folding again without a new
-    full event is rejected.
+    Every tracker is listed once, and it must be stopped by a full event
+    (negative index); a folded round is gone with its reset, so folding
+    again without a new full event is rejected.
     """
-    if len(set(vcpus)) < len(vcpus):
-        raise ProtocolError(f"handle_full: a vcpu is listed twice in {list(vcpus)}")
-    for v in vcpus:
-        index = trackers[v].index
-        if index >= 0:
-            raise ProtocolError(
-                f"handle_full: tracker of vcpu {v} has index {index}, no full event outstanding"
-            )
-    for v in vcpus:
-        log.add_snapshot(trackers[v].round)
-        trackers[v].reset_index()
+    if len(set(map(id, batch))) < len(batch):
+        raise ProtocolError("handle_full: a tracker is listed twice in the batch")
+    for tracker in batch:
+        if tracker.index >= 0:
+            raise ProtocolError(f"handle_full: a tracker has index {tracker.index}, no full event outstanding")
+    for tracker in batch:
+        log.add_snapshot(tracker.round)
+        tracker.reset_index()
 
 
 __all__ = ["CumulativeLog", "batch_duration_ns", "handle_full"]

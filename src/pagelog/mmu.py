@@ -18,7 +18,7 @@ own TLB and therefore its own flag table. A run's walk stage is ``walk_codes``.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +32,10 @@ TLB_HIT = 0
 TLB_WALK = 1
 TLB_WALK_DIRTY = 2
 
-# Upper bound on TLB entries; Tlb allocates every set up front.
 MAX_TLB_ENTRIES = 65536
+# Upper bound on a trace's distinct vCPU ids: the walk stage scans each chunk
+# once per vCPU, and pml flush-on-query visits every tracker per observation.
+MAX_VCPUS = 256
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class Tlb:
         config.validate()
         self._n_sets = config.n_sets
         self._ways = config.ways
-        self._sets: list[OrderedDict[int, None]] = [OrderedDict() for _ in range(self._n_sets)]
+        self._sets: defaultdict[int, OrderedDict[int, None]] = defaultdict(OrderedDict)
         self._dirty: set[int] = set()
 
     def lookup_raw(self, gppn: int, is_write: bool) -> int:
@@ -101,6 +103,8 @@ def walk_codes(trace: Trace, tlb_config: TlbConfig) -> np.ndarray:
     Each TLB lives for the whole trace; chunks only bound the index columns.
     """
     vcpu_ids = trace.vcpu_ids()
+    if len(vcpu_ids) > MAX_VCPUS:
+        raise ValidationError(f"vcpu: {len(vcpu_ids)} distinct vCPU ids, more than {MAX_VCPUS}")
     tlbs = {v: Tlb(tlb_config) for v in vcpu_ids}
     codes = np.empty(len(trace), dtype=np.int8)
     for lo in range(0, len(trace), trace_mod._CHUNK):

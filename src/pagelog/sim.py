@@ -43,6 +43,7 @@ from .errors import ValidationError
 from .estimator import (
     DEFAULT_VMWARE_PERIOD_S,
     DEFAULT_VMWARE_SAMPLE_SIZE,
+    MAX_VMWARE_SAMPLE_SIZE,
     EstimatorParams,
     WssEstimate,
     estimate_from_series,
@@ -66,6 +67,10 @@ ESTIMATOR_PML = "pml"
 ESTIMATOR_VMWARE = "vmware"
 ESTIMATOR_ORACLE = "oracle"
 ALL_ESTIMATORS = (ESTIMATOR_PRL, ESTIMATOR_PML, ESTIMATOR_VMWARE, ESTIMATOR_ORACLE)
+# The estimator each logging mode feeds and the observation column it reads:
+# prl counts pages logged at least tau times, pml counts distinct pages.
+NATIVE = {TrackingMode.PAML: (ESTIMATOR_PRL, "hot_pages"),
+          TrackingMode.PML: (ESTIMATOR_PML, "distinct_pages")}
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,8 @@ class Scenario:
     def validate(self) -> None:
         if (self.workload is None) == (self.trace_path is None):
             raise ValidationError("workload: exactly one of workload and trace_path is required")
+        if self.seed < 0:
+            raise ValidationError("seed: must be >= 0")
         if self.workload is not None:
             self.workload.validate()
         self.tracking.validate()
@@ -95,15 +102,13 @@ class Scenario:
         unknown = set(self.estimators_enabled) - set(ALL_ESTIMATORS)
         if unknown:
             raise ValidationError(f"estimators: unknown estimator(s) {sorted(unknown)}")
-        mode = self.tracking.mode
-        if ESTIMATOR_PRL in self.estimators_enabled and mode is not TrackingMode.PAML:
-            raise ValidationError("estimators: prl requires tracking mode paml")
-        if ESTIMATOR_PML in self.estimators_enabled and mode is not TrackingMode.PML:
-            raise ValidationError("estimators: pml requires tracking mode pml")
-        if self.vm_pages is not None and self.vm_pages < 1:
-            raise ValidationError("vm_pages: must be >= 1")
-        if self.vmware_sample_size < 1:
-            raise ValidationError("vmware.sample_size: must be >= 1")
+        for mode, (name, _) in NATIVE.items():
+            if name in self.estimators_enabled and self.tracking.mode is not mode:
+                raise ValidationError(f"estimators: {name} requires tracking mode {mode.value}")
+        if self.vm_pages is not None and not 1 <= self.vm_pages <= trace_mod._INT64_MAX:
+            raise ValidationError("vm_pages: must be within 1..2^63-1")
+        if not 1 <= self.vmware_sample_size <= MAX_VMWARE_SAMPLE_SIZE:
+            raise ValidationError(f"vmware.sample_size: must be within 1..{MAX_VMWARE_SAMPLE_SIZE}")
         whole_ns("vmware.period_s", self.vmware_period_s)
 
 
@@ -246,7 +251,7 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
         observations.t_ns[:k] = next_obs + mu * np.arange(k, dtype=np.int64)
     hot, distinct = observations.hot_pages, observations.distinct_pages
     filled = 0
-    pending: list[int] = []  # vCPUs whose held rounds await a handler batch
+    pending: list[Tracker] = []  # trackers whose held rounds await a handler batch
     batch: Optional[list] = None
     busy_until = _NEVER
     handler_busy_ns = 0
@@ -256,7 +261,7 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
         nonlocal batch, busy_until, handler_busy_ns
         batch = pending[:]
         pending.clear()
-        dur = batch_duration_ns(batch, trackers)
+        dur = batch_duration_ns(batch)
         handler_busy_ns += dur
         busy_until = now + dur
 
@@ -274,7 +279,7 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
             if ct >= now and next_obs >= now:
                 return
             if ct <= next_obs:
-                handle_full(batch, log, trackers)
+                handle_full(batch, log)
                 batch, busy_until = None, _NEVER
                 if pending:
                     start_batch(ct)
@@ -291,15 +296,16 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
     for lo in range(0, n, trace_mod._CHUNK):
         chunk = codes[lo:lo + trace_mod._CHUNK]
         walk = lo + np.flatnonzero(chunk == TLB_WALK_DIRTY if synchronous else chunk)
-        for t, g, v, d in zip(trace.t[walk].tolist(), trace.gppn[walk].tolist(),
-                              trace.vcpu[walk].tolist(), (codes[walk] == TLB_WALK_DIRTY).tolist()):
+        for t, g, v in zip(trace.t[walk].tolist(), trace.gppn[walk].tolist(), trace.vcpu[walk].tolist()):
             if busy_until < t or next_obs < t:
                 fire_due(t)
-            if observe[v](g, d) == OBS_FULL:
+            # Every walk is fed as dirty: pml is fed only walks that set a
+            # dirty flag, and paml logs a walk whatever its flag.
+            if observe[v](g, True) == OBS_FULL:
                 if synchronous:
-                    handle_full((v,), log, trackers)
+                    handle_full((trackers[v],), log)
                 else:
-                    pending.append(v)
+                    pending.append(trackers[v])
                     if batch is None:
                         start_batch(t)
 
@@ -309,7 +315,7 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
     # Flush handler work scheduled beyond the end of the trace, then fold in
     # whatever is still sitting in partially filled buffers.
     while batch is not None:
-        handle_full(batch, log, trackers)
+        handle_full(batch, log)
         batch = None
         if pending:
             start_batch(busy_until)
@@ -385,12 +391,9 @@ def _report(scenario: Scenario, trace: Trace, allocated: int,
 
     estimates: dict[str, WssEstimate] = {}
     native: Optional[WssEstimate] = None
-    if ESTIMATOR_PRL in enabled:
-        native = estimate_from_series(out.observations.hot_pages, params)
-        estimates[ESTIMATOR_PRL] = native
-    if ESTIMATOR_PML in enabled:
-        native = estimate_from_series(out.observations.distinct_pages, params)
-        estimates[ESTIMATOR_PML] = native
+    name, column = NATIVE.get(mode, (None, None))
+    if name in enabled:
+        native = estimates[name] = estimate_from_series(out.observations[column], params)
     if ESTIMATOR_ORACLE in enabled:
         estimates[ESTIMATOR_ORACLE] = estimate_oracle(trace, params)
     if ESTIMATOR_VMWARE in enabled:
@@ -456,43 +459,35 @@ class PairedComparison:
 def run_paired(scenario: Scenario, trace: Optional[Trace] = None) -> PairedComparison:
     """Run the all-access, write-only, sampling and oracle estimators on one trace."""
     scenario.validate()
-    paml_scenario = dataclasses.replace(
-        scenario,
-        tracking=dataclasses.replace(scenario.tracking, mode=TrackingMode.PAML),
-        estimators_enabled=frozenset({ESTIMATOR_PRL, ESTIMATOR_VMWARE, ESTIMATOR_ORACLE}),
-    )
-    pml_scenario = dataclasses.replace(
-        scenario,
-        tracking=dataclasses.replace(scenario.tracking, mode=TrackingMode.PML),
-        estimators_enabled=frozenset({ESTIMATOR_PML, ESTIMATOR_ORACLE}),
-    )
+
+    def paired(mode: TrackingMode, *others: str) -> Scenario:
+        """The scenario in ``mode`` with that mode's estimator, the oracle and ``others``."""
+        enabled = frozenset({NATIVE[mode][0], ESTIMATOR_ORACLE, *others})
+        return dataclasses.replace(scenario, tracking=dataclasses.replace(scenario.tracking, mode=mode),
+                                   estimators_enabled=enabled)
+
+    paml_scenario = paired(TrackingMode.PAML, ESTIMATOR_VMWARE)
     trace, allocated = _checked(paml_scenario, trace)
     codes = walk_codes(trace, scenario.tlb)  # one walk stage for both modes
     paml_report = _report(paml_scenario, trace, allocated, codes)
-    pml_report = _report(pml_scenario, trace, allocated, codes)
+    pml_report = _report(paired(TrackingMode.PML), trace, allocated, codes)
 
     oracle = paml_report.estimates[ESTIMATOR_ORACLE]
-    rows = []
 
-    def row(name, est, report, counted):
+    def row(name: str, report: SimReport, counted: bool) -> PairedRow:
+        est = report.estimates[name]
         stats = report.stats if counted else TrackerStats()
-        overhead = report.overhead_percent if counted else 0.0
-        rows.append(
-            PairedRow(
-                estimator=name,
-                wss_pages=est.wss_pages,
-                error_pages=abs(est.wss_pages - oracle.wss_pages),
-                full_events=stats.full_events,
-                missed_gpas=stats.missed_gpas,
-                overhead_percent=overhead,
-            )
+        return PairedRow(
+            estimator=name,
+            wss_pages=est.wss_pages,
+            error_pages=abs(est.wss_pages - oracle.wss_pages),
+            full_events=stats.full_events,
+            missed_gpas=stats.missed_gpas,
+            overhead_percent=report.overhead_percent if counted else 0.0,
         )
 
-    row(ESTIMATOR_PRL, paml_report.estimates[ESTIMATOR_PRL], paml_report, True)
-    row(ESTIMATOR_PML, pml_report.estimates[ESTIMATOR_PML], pml_report, True)
-    row(ESTIMATOR_VMWARE, paml_report.estimates[ESTIMATOR_VMWARE], paml_report, False)
-    row(ESTIMATOR_ORACLE, oracle, paml_report, False)
-
+    rows = [row(ESTIMATOR_PRL, paml_report, True), row(ESTIMATOR_PML, pml_report, True),
+            row(ESTIMATOR_VMWARE, paml_report, False), row(ESTIMATOR_ORACLE, paml_report, False)]
     return PairedComparison(
         scenario_name=scenario.name,
         rows=rows,
@@ -600,10 +595,9 @@ def parse_scenario_text(text: str, name: str = "scenario", base_dir: Optional[Pa
     tracking = TrackingConfig(**_take(kv, _TRACKING_KEYS))
     estimators_value = kv.pop("estimators", None)
     if estimators_value is None:
-        native = ESTIMATOR_PML if tracking.mode is TrackingMode.PML else ESTIMATOR_PRL
         enabled = {ESTIMATOR_ORACLE}
-        if tracking.mode is not TrackingMode.OFF:
-            enabled.add(native)
+        if tracking.mode in NATIVE:
+            enabled.add(NATIVE[tracking.mode][0])
     else:
         enabled = {e.strip().lower() for e in estimators_value.split(",") if e.strip()}
 
@@ -658,6 +652,7 @@ __all__ = [
     "ESTIMATOR_VMWARE",
     "ESTIMATOR_ORACLE",
     "ALL_ESTIMATORS",
+    "NATIVE",
     "Scenario",
     "OBS_DTYPE",
     "SimReport",

@@ -101,6 +101,8 @@ class WorkloadSpec:
             raise ValidationError("hot_pages: must not exceed n_pages")
         if self.inter_access_gap_ns < 0:
             raise ValidationError("inter_access_gap_ns: must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("workload.seed: must be >= 0")
         accesses = self.access_count
         if accesses > MAX_ACCESSES:
             raise ValidationError(f"workload.n_pages: {accesses} accesses, more than {MAX_ACCESSES}")
@@ -192,9 +194,6 @@ class Trace:
         first = np.ones(len(ids), dtype=bool)
         np.not_equal(ids[1:], ids[:-1], out=first[1:])
         return ids[first].tolist()
-
-    def distinct_pages(self) -> int:
-        return int(np.unique(self.gppn).size) if len(self.gppn) else 0
 
 
 def _integer_column(name: str, values, dtype) -> np.ndarray:

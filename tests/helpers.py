@@ -58,7 +58,7 @@ def reference_run(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
     tau = params.tau
     next_obs = (int(trace.t[0]) if len(trace) else 0) + mu
     observations = []
-    pending: list[int] = []
+    pending: list[Tracker] = []
     batch = None
     busy_until = 0
     walks = 0
@@ -74,13 +74,13 @@ def reference_run(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
             if (ct is None or ct >= now) and next_obs >= now:
                 return
             if ct is not None and ct <= next_obs:
-                handle_full(batch, log, trackers)
+                handle_full(batch, log)
                 batch = None
                 if pending:
                     nb = pending[:]
                     pending.clear()
                     batch = nb
-                    busy_until = ct + batch_duration_ns(nb, trackers)
+                    busy_until = ct + batch_duration_ns(nb)
             else:
                 if synchronous:
                     for v in vcpus:
@@ -103,18 +103,18 @@ def reference_run(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
             dropped_pages.add(gppn)
         elif outcome == OBS_FULL:
             if synchronous:
-                handle_full((vcpu,), log, trackers)
+                handle_full((tracker,), log)
             else:
-                pending.append(vcpu)
+                pending.append(tracker)
                 if batch is None:
                     batch = pending[:]
                     pending.clear()
-                    busy_until = t + batch_duration_ns(batch, trackers)
+                    busy_until = t + batch_duration_ns(batch)
 
     end_t = int(trace.t[-1]) if len(trace) else 0
     fire(end_t + 1)
     while batch is not None:
-        handle_full(batch, log, trackers)
+        handle_full(batch, log)
         batch = None
         if pending:
             batch = pending[:]

@@ -132,6 +132,13 @@ def test_gen_invalid_spec_exit1(tmp_path, capsys):
     assert "wi" in capsys.readouterr().err
 
 
+def test_gen_negative_seed_exit1(tmp_path, capsys):
+    rc = main(["gen", "--pattern", "wi", "--pages", "10", "--seed", "-3",
+               "-o", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert "workload.seed" in capsys.readouterr().err
+
+
 def test_gen_access_count_bounded_exit1(tmp_path, capsys):
     # generate() validates before it allocates, so this asks for no memory.
     rc = main(["gen", "--pattern", "rwrw", "--pages", "1000000000000",

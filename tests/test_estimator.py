@@ -239,6 +239,13 @@ def test_vmware_sample_larger_than_allocation():
         estimate_vmware(tr, 50, params(), sample_size=100)
 
 
+def test_vmware_sample_size_bounded():
+    # 2^31 samples used to ask numpy for a 16 GiB block; the bound is checked
+    # before anything is drawn.
+    with pytest.raises(ValidationError, match=r"^sample_size: must be within 1\.\.32768$"):
+        estimate_vmware(_uniform_trace(10, 2), 2**31, params(), sample_size=2**31)
+
+
 def test_vmware_hot_subset_sampling_noise():
     # 10% of a 5000-page allocation is touched every period; the per-seed
     # estimate is one (hyper)binomial draw scaled by the allocation.

@@ -1,8 +1,10 @@
-"""Fuzz the input layers: scenario text and files, and trace files.
+"""Fuzz the input layers: scenario text and files, trace files, and runs.
 
 Whatever the bytes, parsing may fail only with the package's documented
 error for that input (``ValidationError`` for scenarios, ``TraceParseError``
-for traces), never with another exception. No scenario is run here.
+for traces), never with another exception. A scenario that parses must run
+to a report, alone and paired, or fail with a ``ValidationError`` naming a
+scenario key.
 """
 
 import dataclasses
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from pagelog.errors import TraceParseError, ValidationError
 from pagelog.estimator import EstimatorParams
 from pagelog.mmu import TlbConfig
-from pagelog.sim import load_scenario, parse_scenario_text
+from pagelog.sim import load_scenario, parse_scenario_text, run, run_paired
 from pagelog.trace import WorkloadSpec, read_trace
 from pagelog.tracker import TrackingConfig
 
@@ -83,3 +85,58 @@ def test_trace_bytes_raise_only_trace_parse_error(data):
         read_trace(io.BytesIO(data))
     except TraceParseError:
         pass
+
+
+# Small workloads with adversarial integers in every key that takes one.
+EDGE_INTS = [2**31, 2**63 - 1, 2**63, 2**64, 2**70, -2**70]
+edge_ints = st.one_of(st.integers(-5, 5), st.sampled_from(EDGE_INTS))
+INT_KEYS = ["seed", "workload.seed", "vm_pages", "vmware.sample_size", "tracking.buffer_entries",
+            "tracking.handler_latency_per_entry_ns", "tracking.vmexit_cost_ns", "tlb.entries",
+            "tlb.ways", "estimator.tau", "estimator.epsilon_bytes", "estimator.page_size"]
+
+
+@st.composite
+def runnable_scenarios(draw):
+    mode = draw(st.sampled_from(["paml", "pml", "off"]))
+    native = {"paml": ["prl"], "pml": ["pml"], "off": []}[mode]
+    mu_ns = draw(st.integers(200, 5000))
+    lines = [
+        f"workload.pattern = {draw(st.sampled_from(['wi', 'rwrw', 'rrww', 'wwrr']))}",
+        f"workload.n_pages = {draw(st.integers(1, 48))}",
+        f"workload.d_iters = {draw(st.integers(1, 3))}",
+        f"tracking.mode = {mode}",
+        f"estimator.mu_s = {mu_ns / 1e9!r}",
+        f"estimator.omega_s = {mu_ns * draw(st.integers(1, 4)) / 1e9!r}",
+        f"vmware.period_s = {draw(st.integers(1000, 20000)) / 1e9!r}",
+        f"estimators = {', '.join(draw(st.sets(st.sampled_from(native + ['vmware', 'oracle']))))}",
+    ]
+    # The default of 100 samples exceeds every allocation drawn here.
+    ints = {"vmware.sample_size": draw(st.integers(1, 8))}
+    for key in draw(st.lists(st.sampled_from(INT_KEYS), unique=True, max_size=5)):
+        ints[key] = draw(edge_ints)
+    return "\n".join(lines + [f"{key} = {value}" for key, value in ints.items()])
+
+
+def _names_a_key(exc):
+    name = str(exc).split(":", 1)[0]
+    return name in KEYS or name in {key.rsplit(".", 1)[-1] for key in KEYS}
+
+
+@settings(max_examples=200, deadline=None)
+@given(runnable_scenarios())
+@example("workload.pattern = rwrw\nworkload.n_pages = 8\nestimators = vmware\nseed = -1")
+@example("workload.pattern = wi\nworkload.n_pages = 8\nworkload.seed = -5")
+@example("workload.pattern = rwrw\nworkload.n_pages = 8\nestimators = vmware\nvm_pages = 9223372036854775808")
+@example("workload.pattern = rwrw\nworkload.n_pages = 8\nestimators = vmware\n"
+         "vm_pages = 9223372036854775807\nvmware.sample_size = 9223372036854775807")
+def test_scenario_runs_end_in_a_report_or_validation_error(text):
+    try:
+        scenario = parse_scenario_text(text)
+    except ValidationError as exc:
+        assert _names_a_key(exc), exc
+        return
+    for call in (run, run_paired):
+        try:
+            call(scenario)
+        except ValidationError as exc:
+            assert _names_a_key(exc), exc

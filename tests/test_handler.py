@@ -19,8 +19,8 @@ def test_counting_and_reset():
     tr = _full_tracker([5, 5, 9, 1])
     assert tr.round == [5, 5, 9]
     log = CumulativeLog(1)
-    assert batch_duration_ns([0], {0: tr}) == 3 * 20
-    handle_full([0], log, {0: tr})
+    assert batch_duration_ns([tr]) == 3 * 20
+    handle_full([tr], log)
     assert log.counts == {5: 2, 9: 1}
     assert tr.index == 3
     assert tr.round == []
@@ -29,7 +29,7 @@ def test_counting_and_reset():
 def test_pml_round_folded_with_its_trigger():
     tr = _full_tracker([5, 6, 7, 8], mode=TrackingMode.PML)
     log = CumulativeLog(1)
-    handle_full((0,), log, {0: tr})
+    handle_full((tr,), log)
     assert log.counts == {5: 1, 6: 1, 7: 1, 8: 1}
     assert (tr.index, tr.round) == (3, [])
 
@@ -38,9 +38,8 @@ def test_two_vcpus_merged_in_one_invocation():
     tr_a = _full_tracker([1, 2, 3, 0])
     tr_b = _full_tracker([3, 3, 4, 0])
     log = CumulativeLog(1)
-    trackers = {0: tr_a, 1: tr_b}
-    assert batch_duration_ns([0, 1], trackers) == 6 * 20
-    handle_full([0, 1], log, trackers)
+    assert batch_duration_ns([tr_a, tr_b]) == 6 * 20
+    handle_full([tr_a, tr_b], log)
     assert log.counts == {1: 1, 2: 1, 3: 3, 4: 1}
     assert log.total == 6
     assert tr_a.index == 3 and tr_b.index == 3
@@ -48,8 +47,8 @@ def test_two_vcpus_merged_in_one_invocation():
 
 def test_empty_event_list():
     log = CumulativeLog(1)
-    assert batch_duration_ns([], {}) == 0
-    handle_full([], log, {})
+    assert batch_duration_ns([]) == 0
+    handle_full([], log)
     assert log.total == 0 and log.counts == {}
 
 
@@ -57,16 +56,16 @@ def test_rejects_tracker_not_stopped():
     tr = Tracker(TrackingConfig(mode=TrackingMode.PAML, buffer_entries=4))
     tr.observe_raw(1, False)
     with pytest.raises(ProtocolError, match="no full event outstanding"):
-        handle_full([0], CumulativeLog(1), {0: tr})
+        handle_full([tr], CumulativeLog(1))
 
 
 def test_rejects_double_apply():
     # A folded round is gone with its reset: folding again is rejected.
     tr = _full_tracker([1, 2, 3, 0])
     log = CumulativeLog(1)
-    handle_full([0], log, {0: tr})
+    handle_full([tr], log)
     with pytest.raises(ProtocolError, match="no full event outstanding"):
-        handle_full([0], log, {0: tr})
+        handle_full([tr], log)
     assert log.total == 3
 
 
@@ -74,7 +73,7 @@ def test_rejects_duplicate_tracker_in_batch():
     tr = _full_tracker([1, 2, 3, 0])
     log = CumulativeLog(1)
     with pytest.raises(ProtocolError, match="listed twice"):
-        handle_full([0, 0], log, {0: tr})
+        handle_full([tr, tr], log)
     assert log.total == 0 and tr.index < 0  # nothing folded, round still held
 
 
@@ -83,17 +82,17 @@ def test_batching_equivalence():
     rounds = [(1, 2, 2), (2, 3, 4), (4, 4, 4)]
 
     def fresh():
-        return {v: _full_tracker([*r, 0], latency=0) for v, r in enumerate(rounds)}
+        return [_full_tracker([*r, 0], latency=0) for r in rounds]
 
     batched = fresh()
     log_one = CumulativeLog(1)
-    assert batch_duration_ns(list(batched), batched) == 0
-    handle_full(list(batched), log_one, batched)
+    assert batch_duration_ns(batched) == 0
+    handle_full(batched, log_one)
 
     split = fresh()
     log_many = CumulativeLog(1)
-    for v in split:
-        handle_full([v], log_many, split)
+    for tr in split:
+        handle_full([tr], log_many)
 
     assert log_one.counts == log_many.counts
     assert log_one.total == log_many.total == 9

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from pagelog.errors import ValidationError
-from pagelog.mmu import TLB_HIT, TLB_WALK, TLB_WALK_DIRTY, Tlb, TlbConfig
+from pagelog.mmu import MAX_VCPUS, TLB_HIT, TLB_WALK, TLB_WALK_DIRTY, Tlb, TlbConfig, walk_codes
+from pagelog.trace import Trace
 
 READ, WRITE = False, True
 
@@ -127,3 +128,22 @@ def test_walk_event_invariant():
 def test_config_validation(entries, ways, field):
     with pytest.raises(ValidationError, match=field):
         Tlb(TlbConfig(entries=entries, ways=ways))
+
+
+def test_sets_are_made_on_first_use():
+    # A TLB holds only the sets its accesses touched, so its memory grows
+    # with its vCPU's accesses, not with its geometry.
+    tlb = Tlb(TlbConfig(entries=65536, ways=1))
+    assert len(tlb._sets) == 0
+    assert tlb.lookup_raw(65537, WRITE) == TLB_WALK_DIRTY
+    assert list(tlb._sets) == [1]
+
+
+def test_walk_codes_bounds_distinct_vcpus():
+    def trace(n_vcpus):
+        ids = np.arange(n_vcpus)
+        return Trace(ids, ids, ids, np.zeros(n_vcpus, dtype=bool))
+
+    assert walk_codes(trace(MAX_VCPUS), TlbConfig()).tolist() == [TLB_WALK] * MAX_VCPUS
+    with pytest.raises(ValidationError, match=rf"^vcpu: {MAX_VCPUS + 1} distinct vCPU ids"):
+        walk_codes(trace(MAX_VCPUS + 1), TlbConfig())

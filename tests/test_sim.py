@@ -531,6 +531,21 @@ def test_parse_rejects_vmware_sample_size_below_1():
         parse_scenario_text(text)
 
 
+@pytest.mark.parametrize("line,key", [
+    ("seed = -1", "seed"),
+    ("workload.seed = -5", "workload.seed"),
+    ("vm_pages = 9223372036854775808", "vm_pages"),
+    ("vmware.sample_size = 32769", "vmware.sample_size"),
+])
+def test_parse_rejects_values_the_run_cannot_take(line, key):
+    # Each used to pass validation and end the run in a numpy error: a
+    # negative seed in default_rng, 2^63 pages in rng.choice, and 2^15 + 1
+    # samples a period beyond the block budget of the vmware baseline.
+    text = f"workload.pattern = wi\nworkload.n_pages = 8\nestimators = vmware\n{line}\n"
+    with pytest.raises(ValidationError, match=rf"^{key}: "):
+        parse_scenario_text(text)
+
+
 def test_parse_bad_values():
     with pytest.raises(ValidationError, match="tracking.mode|mode"):
         parse_scenario_text("workload.pattern = rwrw\nworkload.n_pages = 8\ntracking.mode = turbo\n")

@@ -26,7 +26,7 @@ def test_rwrw_full_array():
     spec = WorkloadSpec(n_pages=102400, pattern=Pattern.RWRW, d_iters=3)
     tr = generate(spec)
     assert len(tr) == 102400 * 2 * 3
-    assert tr.distinct_pages() == 102400
+    assert np.unique(tr.gppn).size == 102400
     assert tr.ground_truth_wss_pages == 102400
     # R,W alternation on each page
     assert not tr.is_write[0] and tr.is_write[1]
