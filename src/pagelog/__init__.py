@@ -10,6 +10,7 @@ estimators observe that log over virtual time.
 from .errors import PredicateContractError, ProtocolError, TraceParseError, ValidationError
 from .estimator import (
     EstimatorParams,
+    VmwareParams,
     WssEstimate,
     estimate_epsilon,
     estimate_oracle,
@@ -46,6 +47,7 @@ __all__ = [
     "TraceParseError",
     "ValidationError",
     "EstimatorParams",
+    "VmwareParams",
     "WssEstimate",
     "estimate_epsilon",
     "estimate_oracle",

@@ -14,9 +14,9 @@ Estimators:
   (all-access logging; identifies hot pages), ``pml`` the count of distinct
   logged pages (write-only logging records a page once, so ``tau`` cannot
   apply).
-* :func:`estimate_vmware` -- the sampling baseline: each period, 100 random
-  pages have their present bit invalidated and the faulting fraction scales
-  to the allocation size.
+* :func:`estimate_vmware` -- the sampling baseline: each period,
+  ``VmwareParams.sample_size`` random pages have their present bit
+  invalidated and the faulting fraction scales to the allocation size.
 * :func:`estimate_oracle` -- offline ground truth straight from the trace,
   no TLB filtering and no buffer losses.
 * :func:`estimate_epsilon` -- the multiplicative-shrink probe for the guest
@@ -35,14 +35,11 @@ from . import trace as trace_mod
 from .errors import PredicateContractError, ValidationError
 from .trace import PAGE_SIZE, Trace
 
-DEFAULT_TAU = 50
-DEFAULT_MU_S = 30.0
-DEFAULT_OMEGA_S = 120.0
-DEFAULT_VMWARE_SAMPLE_SIZE = 100
-DEFAULT_VMWARE_PERIOD_S = 30.0
-# Upper bound on sampling periods per run; at 100 samples each costs about
-# 11 us, nearly all of it the period's rng.choice draw.
+# Upper bounds on sampling periods and on sampled pages per run. At 100
+# samples a period costs about 11 us, nearly all of it the period's rng.choice
+# draw; the draw grows with the sample size, so the pages are bounded too.
 MAX_VMWARE_PERIODS = 1_000_000
+MAX_VMWARE_SAMPLES = 10**8
 # Upper bound on samples per period: one period's int64 keys fit the block
 # budget of estimate_vmware, _CHUNK // 8 keys.
 MAX_VMWARE_SAMPLE_SIZE = 1 << 15
@@ -67,13 +64,13 @@ class EstimatorParams:
     ``omega_s``: stability window, virtual seconds; must be a multiple of ``mu_s``.
     """
 
-    tau: int = DEFAULT_TAU
-    mu_s: float = DEFAULT_MU_S
-    omega_s: float = DEFAULT_OMEGA_S
+    tau: int = 50
+    mu_s: float = 30.0
+    omega_s: float = 120.0
     page_size: int = PAGE_SIZE
     epsilon_bytes: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.tau < 1:
             raise ValidationError("tau: must be >= 1")
         whole_ns("mu_s", self.mu_s)
@@ -100,6 +97,23 @@ class EstimatorParams:
 
 
 @dataclass(frozen=True)
+class VmwareParams:
+    """Knobs of the sampling baseline: pages sampled per period, and the period in virtual seconds."""
+
+    sample_size: int = 100
+    period_s: float = 30.0
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.sample_size <= MAX_VMWARE_SAMPLE_SIZE:
+            raise ValidationError(f"vmware.sample_size: must be within 1..{MAX_VMWARE_SAMPLE_SIZE}")
+        whole_ns("vmware.period_s", self.period_s)
+
+    @property
+    def period_ns(self) -> int:
+        return round(self.period_s * _NS_PER_S)
+
+
+@dataclass(frozen=True)
 class WssEstimate:
     """Result of one estimator: hot-page count plus the Eq.-style byte total."""
 
@@ -122,7 +136,6 @@ def estimate_from_series(dist: np.ndarray, params: EstimatorParams) -> WssEstima
     decreases up to that point, since counts over a cumulative log are
     monotone; a live estimation process never sees what comes after it.
     """
-    params.validate()
     k = params.window
     dist = np.asarray(dist, dtype=np.int64)
     stable = np.flatnonzero(dist[k:] == dist[:-k])
@@ -144,7 +157,6 @@ def estimate_from_series(dist: np.ndarray, params: EstimatorParams) -> WssEstima
 
 def estimate_oracle(trace: Trace, params: EstimatorParams) -> WssEstimate:
     """Ground truth from the raw trace: pages referenced at least tau times."""
-    params.validate()
     if len(trace) == 0:
         wss = 0
     else:
@@ -163,39 +175,35 @@ def estimate_vmware(
     trace: Trace,
     allocated_pages: int,
     params: EstimatorParams,
-    sample_size: int = DEFAULT_VMWARE_SAMPLE_SIZE,
-    period_s: float = DEFAULT_VMWARE_PERIOD_S,
+    vmware: VmwareParams = VmwareParams(),
     seed: int = 0,
     until_ns: Optional[int] = None,
 ) -> WssEstimate:
     """Sampling baseline over a trace feed.
 
     Periods start at the trace's first access. Each period a fresh sample
-    of ``sample_size`` distinct pages is drawn uniformly from the
+    of ``vmware.sample_size`` distinct pages is drawn uniformly from the
     allocation; pages touched during their period count as faulted, and
     the faulted fraction scales to ``allocated_pages``. The reported value
     is the estimate of the last period completed by ``until_ns`` (the
     caller passes the comparison estimator's convergence instant); with no
     completed period, the open period is evaluated at that instant.
     """
-    params.validate()
     if allocated_pages < 1:
         raise ValidationError("allocated_pages: must be >= 1")
-    if not 1 <= sample_size <= MAX_VMWARE_SAMPLE_SIZE:
-        raise ValidationError(f"sample_size: must be within 1..{MAX_VMWARE_SAMPLE_SIZE}")
+    sample_size, period_ns = vmware.sample_size, vmware.period_ns
     if sample_size > allocated_pages:
-        raise ValidationError("sample_size: must not exceed allocated pages")
-    period_ns = whole_ns("period_s", period_s)
+        raise ValidationError("vmware.sample_size: must not exceed allocated pages")
     t = trace.t
     g = trace.gppn
     t0 = int(t[0]) if len(t) else 0  # periods start at the first access
     if until_ns is None:
         until_ns = int(t[-1]) if len(t) else 0
     n_periods = (until_ns - t0) // period_ns  # periods completed by until_ns
-    if n_periods > MAX_VMWARE_PERIODS:
+    if n_periods > MAX_VMWARE_PERIODS or n_periods * sample_size > MAX_VMWARE_SAMPLES:
         raise ValidationError(
-            f"vmware.period_s: {period_s!r} s needs {n_periods} sampling periods, "
-            f"more than {MAX_VMWARE_PERIODS}"
+            f"vmware.period_s: {vmware.period_s!r} s needs {n_periods} sampling periods of "
+            f"{sample_size} pages, more than {MAX_VMWARE_PERIODS} periods or {MAX_VMWARE_SAMPLES} pages"
         )
 
     # Each block of periods draws its samples in period order, as one
@@ -274,12 +282,8 @@ def estimate_epsilon(
 
 
 __all__ = [
-    "DEFAULT_TAU",
-    "DEFAULT_MU_S",
-    "DEFAULT_OMEGA_S",
-    "DEFAULT_VMWARE_SAMPLE_SIZE",
-    "DEFAULT_VMWARE_PERIOD_S",
     "EstimatorParams",
+    "VmwareParams",
     "WssEstimate",
     "whole_ns",
     "estimate_from_series",

@@ -34,7 +34,7 @@ TLB_WALK_DIRTY = 2
 
 MAX_TLB_ENTRIES = 65536
 # Upper bound on a trace's distinct vCPU ids: the walk stage scans each chunk
-# once per vCPU, and pml flush-on-query visits every tracker per observation.
+# once per vCPU.
 MAX_VCPUS = 256
 
 
@@ -45,7 +45,7 @@ class TlbConfig:
     entries: int = 64
     ways: int = 4
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.ways < 1:
             raise ValidationError("ways: must be >= 1")
         if self.entries < self.ways:
@@ -66,7 +66,6 @@ class Tlb:
     __slots__ = ("_n_sets", "_ways", "_sets", "_dirty")
 
     def __init__(self, config: TlbConfig = TlbConfig()):
-        config.validate()
         self._n_sets = config.n_sets
         self._ways = config.ways
         self._sets: defaultdict[int, OrderedDict[int, None]] = defaultdict(OrderedDict)

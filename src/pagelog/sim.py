@@ -41,15 +41,12 @@ import numpy as np
 from . import trace as trace_mod
 from .errors import ValidationError
 from .estimator import (
-    DEFAULT_VMWARE_PERIOD_S,
-    DEFAULT_VMWARE_SAMPLE_SIZE,
-    MAX_VMWARE_SAMPLE_SIZE,
     EstimatorParams,
+    VmwareParams,
     WssEstimate,
     estimate_from_series,
     estimate_oracle,
     estimate_vmware,
-    whole_ns,
 )
 from .handler import CumulativeLog, batch_duration_ns, handle_full
 from .mmu import TLB_WALK_DIRTY, TlbConfig, walk_codes
@@ -85,20 +82,14 @@ class Scenario:
     estimators_enabled: frozenset = frozenset({ESTIMATOR_ORACLE})
     seed: int = 0
     vm_pages: Optional[int] = None
-    vmware_sample_size: int = DEFAULT_VMWARE_SAMPLE_SIZE
-    vmware_period_s: float = DEFAULT_VMWARE_PERIOD_S
+    vmware: VmwareParams = VmwareParams()
     name: str = "scenario"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if (self.workload is None) == (self.trace_path is None):
             raise ValidationError("workload: exactly one of workload and trace_path is required")
         if self.seed < 0:
             raise ValidationError("seed: must be >= 0")
-        if self.workload is not None:
-            self.workload.validate()
-        self.tracking.validate()
-        self.tlb.validate()
-        self.estimator.validate()
         unknown = set(self.estimators_enabled) - set(ALL_ESTIMATORS)
         if unknown:
             raise ValidationError(f"estimators: unknown estimator(s) {sorted(unknown)}")
@@ -107,9 +98,6 @@ class Scenario:
                 raise ValidationError(f"estimators: {name} requires tracking mode {mode.value}")
         if self.vm_pages is not None and not 1 <= self.vm_pages <= trace_mod._INT64_MAX:
             raise ValidationError("vm_pages: must be within 1..2^63-1")
-        if not 1 <= self.vmware_sample_size <= MAX_VMWARE_SAMPLE_SIZE:
-            raise ValidationError(f"vmware.sample_size: must be within 1..{MAX_VMWARE_SAMPLE_SIZE}")
-        whole_ns("vmware.period_s", self.vmware_period_s)
 
 
 # One row per estimator observation: its instant and the cumulative log's counters.
@@ -252,6 +240,7 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
     hot, distinct = observations.hot_pages, observations.distinct_pages
     filled = 0
     pending: list[Tracker] = []  # trackers whose held rounds await a handler batch
+    fed: dict = {}  # pml: the trackers fed since the last observation, by vCPU id
     batch: Optional[list] = None
     busy_until = _NEVER
     handler_busy_ns = 0
@@ -265,8 +254,8 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
         handler_busy_ns += dur
         busy_until = now + dur
 
-    def drain_residuals() -> None:
-        for tracker in trackers.values():
+    def drain_residuals(drained) -> None:
+        for tracker in drained:
             residual = tracker.drain_residual()
             if residual:
                 log.add_snapshot(residual)
@@ -287,8 +276,10 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
                 if synchronous:
                     # Synchronous-mode collection reads the hardware buffer on
                     # demand (flush-on-query), so partially filled buffers are
-                    # visible to the estimator, not only full ones.
-                    drain_residuals()
+                    # visible to the estimator, not only full ones. Only a
+                    # tracker fed since the last observation holds entries.
+                    drain_residuals(fed.values())
+                    fed.clear()
                 hot[filled], distinct[filled] = log.hot_count, log.distinct_count
                 filled += 1
                 next_obs += mu
@@ -299,6 +290,8 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
         for t, g, v in zip(trace.t[walk].tolist(), trace.gppn[walk].tolist(), trace.vcpu[walk].tolist()):
             if busy_until < t or next_obs < t:
                 fire_due(t)
+            if synchronous:
+                fed[v] = trackers[v]
             # Every walk is fed as dirty: pml is fed only walks that set a
             # dirty flag, and paml logs a walk whatever its flag.
             if observe[v](g, True) == OBS_FULL:
@@ -319,7 +312,7 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
         batch = None
         if pending:
             start_batch(busy_until)
-    drain_residuals()
+    drain_residuals(trackers.values())
     if n:
         # Closing observation: the estimation process reads the fully drained
         # log once the workload ends, so traces shorter than a buffer round
@@ -339,8 +332,7 @@ def _allocated_pages(scenario: Scenario, trace: Trace) -> int:
 
 
 def _checked(scenario: Scenario, trace: Optional[Trace]) -> tuple:
-    """Validate a run before any TLB work; returns ``(trace, allocated pages)``."""
-    scenario.validate()
+    """Check a run against its trace before any TLB work; returns ``(trace, allocated pages)``."""
     if trace is None and scenario.workload is not None:
         trace = generate(scenario.workload)
     elif trace is None:
@@ -351,9 +343,9 @@ def _checked(scenario: Scenario, trace: Optional[Trace]) -> tuple:
             f"vm_pages: trace references page {trace.max_gppn} outside the "
             f"{allocated}-page allocation"
         )
-    if ESTIMATOR_VMWARE in scenario.estimators_enabled and scenario.vmware_sample_size > allocated:
+    if ESTIMATOR_VMWARE in scenario.estimators_enabled and scenario.vmware.sample_size > allocated:
         raise ValidationError(
-            f"vmware.sample_size: {scenario.vmware_sample_size} samples exceed the "
+            f"vmware.sample_size: {scenario.vmware.sample_size} samples exceed the "
             f"{allocated}-page allocation"
         )
     n_obs = trace.span_ns // scenario.estimator.mu_ns
@@ -401,15 +393,8 @@ def _report(scenario: Scenario, trace: Trace, allocated: int,
             until = int(out.observations.t_ns[native.converged_index])
         else:
             until = int(trace.t[-1]) if len(trace) else 0
-        estimates[ESTIMATOR_VMWARE] = estimate_vmware(
-            trace,
-            allocated,
-            params,
-            sample_size=scenario.vmware_sample_size,
-            period_s=scenario.vmware_period_s,
-            seed=scenario.seed,
-            until_ns=until,
-        )
+        estimates[ESTIMATOR_VMWARE] = estimate_vmware(trace, allocated, params, scenario.vmware,
+                                                      seed=scenario.seed, until_ns=until)
 
     return SimReport(
         scenario_name=scenario.name,
@@ -458,7 +443,6 @@ class PairedComparison:
 
 def run_paired(scenario: Scenario, trace: Optional[Trace] = None) -> PairedComparison:
     """Run the all-access, write-only, sampling and oracle estimators on one trace."""
-    scenario.validate()
 
     def paired(mode: TrackingMode, *others: str) -> Scenario:
         """The scenario in ``mode`` with that mode's estimator, the oracle and ``others``."""
@@ -540,12 +524,8 @@ _WORKLOAD_KEYS = _keys("workload", WorkloadSpec)
 _TRACKING_KEYS = _keys("tracking", TrackingConfig)
 _TLB_KEYS = _keys("tlb", TlbConfig)
 _ESTIMATOR_KEYS = _keys("estimator", EstimatorParams)
-_SCENARIO_KEYS = (
-    ("seed", "seed", _parse_int),
-    ("vm_pages", "vm_pages", _parse_int),
-    ("vmware.sample_size", "vmware_sample_size", _parse_int),
-    ("vmware.period_s", "vmware_period_s", _parse_float),
-)
+_VMWARE_KEYS = _keys("vmware", VmwareParams)
+_SCENARIO_KEYS = (("seed", "seed", _parse_int), ("vm_pages", "vm_pages", _parse_int))
 
 
 def _take(kv: dict, keys: tuple) -> dict:
@@ -556,9 +536,10 @@ def _take(kv: dict, keys: tuple) -> dict:
 def parse_scenario_text(text: str, name: str = "scenario", base_dir: Optional[Path] = None) -> Scenario:
     """Parse the flat ``key = value`` scenario format.
 
-    Unknown keys are rejected so that typos fail loudly; an omitted key takes
-    its dataclass default. ``workload.trace`` paths are resolved against
-    ``base_dir`` when given.
+    Every value is parsed and unknown keys are rejected, so that typos fail
+    loudly, before any config is built; an omitted key takes its dataclass
+    default. ``workload.trace`` paths are resolved against ``base_dir`` when
+    given.
     """
     kv: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -575,7 +556,8 @@ def parse_scenario_text(text: str, name: str = "scenario", base_dir: Optional[Pa
         kv[key] = value
 
     top = _take(kv, _SCENARIO_KEYS)
-    workload = None
+    vmware = _take(kv, _VMWARE_KEYS)
+    spec = None
     trace_path = kv.pop("workload.trace", None)
     if trace_path is not None:
         if "\0" in trace_path:
@@ -589,11 +571,16 @@ def parse_scenario_text(text: str, name: str = "scenario", base_dir: Optional[Pa
         if "workload.pattern" not in kv or "workload.n_pages" not in kv:
             raise ValidationError("workload.pattern: required (with workload.n_pages) unless workload.trace is set")
         spec = _take(kv, _WORKLOAD_KEYS)
-        spec.setdefault("seed", top.get("seed", Scenario.seed))
-        workload = WorkloadSpec(**spec)
-
-    tracking = TrackingConfig(**_take(kv, _TRACKING_KEYS))
+    tracking, tlb, estimator = (_take(kv, keys) for keys in (_TRACKING_KEYS, _TLB_KEYS, _ESTIMATOR_KEYS))
     estimators_value = kv.pop("estimators", None)
+    if kv:
+        raise ValidationError(f"unknown scenario key(s): {', '.join(sorted(kv))}")
+
+    seed = top.get("seed", Scenario.seed)
+    if seed < 0:  # before the workload, which inherits it as workload.seed
+        raise ValidationError("seed: must be >= 0")
+    workload = None if spec is None else WorkloadSpec(**{"seed": seed, **spec})
+    tracking = TrackingConfig(**tracking)
     if estimators_value is None:
         enabled = {ESTIMATOR_ORACLE}
         if tracking.mode in NATIVE:
@@ -601,20 +588,17 @@ def parse_scenario_text(text: str, name: str = "scenario", base_dir: Optional[Pa
     else:
         enabled = {e.strip().lower() for e in estimators_value.split(",") if e.strip()}
 
-    scenario = Scenario(
+    return Scenario(
         workload=workload,
         trace_path=trace_path,
         tracking=tracking,
-        tlb=TlbConfig(**_take(kv, _TLB_KEYS)),
-        estimator=EstimatorParams(**_take(kv, _ESTIMATOR_KEYS)),
+        tlb=TlbConfig(**tlb),
+        estimator=EstimatorParams(**estimator),
         estimators_enabled=frozenset(enabled),
+        vmware=VmwareParams(**vmware),
         name=name,
         **top,
     )
-    if kv:
-        raise ValidationError(f"unknown scenario key(s): {', '.join(sorted(kv))}")
-    scenario.validate()
-    return scenario
 
 
 def load_scenario(path) -> Scenario:

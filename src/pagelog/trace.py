@@ -48,7 +48,6 @@ from .errors import TraceParseError, ValidationError
 
 PAGE_SIZE = 4096  # bytes per guest page; all defaults assume 4 KB pages
 
-DEFAULT_INTER_ACCESS_GAP_NS = 100
 # Upper bound on the accesses of a generated workload; generate() holds them all.
 MAX_ACCESSES = 100_000_000
 _CHUNK = 1 << 18  # rows per step of every chunked stage, read at call time; bounds temporaries
@@ -85,9 +84,9 @@ class WorkloadSpec:
     hot_pages: Optional[int] = None
     cold_prefix: bool = False
     seed: int = 0
-    inter_access_gap_ns: int = DEFAULT_INTER_ACCESS_GAP_NS
+    inter_access_gap_ns: int = 100
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_pages < 1:
             raise ValidationError("n_pages: must be >= 1")
         if self.d_iters < 1:
@@ -229,7 +228,6 @@ def generate(spec: WorkloadSpec) -> Trace:
     come from a seeded PCG64 stream, which is reproducible across
     platforms: one value per access, in pass order.
     """
-    spec.validate()
     n_main = spec.effective_hot_pages if spec.cold_prefix else spec.n_pages
     prefix = spec.n_pages if spec.cold_prefix else 0
     total = spec.access_count

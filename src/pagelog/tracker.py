@@ -28,9 +28,6 @@ from enum import Enum
 
 from .errors import ProtocolError, ValidationError
 
-DEFAULT_BUFFER_ENTRIES = 512
-DEFAULT_VMEXIT_COST_NS = 4000
-DEFAULT_HANDLER_LATENCY_PER_ENTRY_NS = 20
 # Upper bound on buffer entries, and so on the length of one held round.
 MAX_BUFFER_ENTRIES = 65536
 
@@ -59,11 +56,11 @@ OBS_FULL = 3
 @dataclass(frozen=True)
 class TrackingConfig:
     mode: TrackingMode = TrackingMode.PAML
-    buffer_entries: int = DEFAULT_BUFFER_ENTRIES
-    vmexit_cost_ns: int = DEFAULT_VMEXIT_COST_NS
-    handler_latency_per_entry_ns: int = DEFAULT_HANDLER_LATENCY_PER_ENTRY_NS
+    buffer_entries: int = 512
+    vmexit_cost_ns: int = 4000
+    handler_latency_per_entry_ns: int = 20
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 2 <= self.buffer_entries <= MAX_BUFFER_ENTRIES:
             raise ValidationError(f"buffer_entries: must be within 2..{MAX_BUFFER_ENTRIES}")
         if self.vmexit_cost_ns < 0:
@@ -95,7 +92,6 @@ class Tracker:
     )
 
     def __init__(self, config: TrackingConfig):
-        config.validate()
         self.config = config
         self._mode = config.mode
         self.round: list[int] = []
@@ -174,9 +170,6 @@ class Tracker:
 
 
 __all__ = [
-    "DEFAULT_BUFFER_ENTRIES",
-    "DEFAULT_VMEXIT_COST_NS",
-    "DEFAULT_HANDLER_LATENCY_PER_ENTRY_NS",
     "TrackingMode",
     "OBS_LOGGED",
     "OBS_DROPPED",

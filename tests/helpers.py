@@ -233,7 +233,6 @@ def _reference_pattern_pass(spec: WorkloadSpec, n: int, rng: np.random.Generator
 
 
 def reference_generate(spec: WorkloadSpec) -> Trace:
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     n_main = spec.effective_hot_pages if spec.cold_prefix else spec.n_pages
     page_chunks = []

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pagelog.cli import main
-from pagelog.estimator import EstimatorParams, estimate_epsilon
+from pagelog.estimator import EstimatorParams, VmwareParams, estimate_epsilon
 from pagelog.sim import (
     ESTIMATOR_ORACLE,
     ESTIMATOR_PML,
@@ -315,7 +315,7 @@ def test_criterion_8_vmware_binomial_noise():
         sc = _paml(
             wl, tau=10, mu_s=2.2 * pass_s, omega_s=8.8 * pass_s, latency=1,
             estimators=(ESTIMATOR_PRL, ESTIMATOR_VMWARE),
-            vm_pages=allocation, vmware_sample_size=sample_size, vmware_period_s=2 * pass_s,
+            vm_pages=allocation, vmware=VmwareParams(sample_size, 2 * pass_s),
             seed=seed,
         )
         rep = run(sc)

@@ -140,7 +140,7 @@ def test_gen_negative_seed_exit1(tmp_path, capsys):
 
 
 def test_gen_access_count_bounded_exit1(tmp_path, capsys):
-    # generate() validates before it allocates, so this asks for no memory.
+    # The WorkloadSpec refuses the count when built, so this asks for no memory.
     rc = main(["gen", "--pattern", "rwrw", "--pages", "1000000000000",
                "-o", str(tmp_path / "t.csv")])
     assert rc == 1

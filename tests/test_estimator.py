@@ -9,6 +9,7 @@ from pagelog import trace as trace_mod
 from pagelog.errors import PredicateContractError, ValidationError
 from pagelog.estimator import (
     EstimatorParams,
+    VmwareParams,
     estimate_epsilon,
     estimate_from_series,
     estimate_oracle,
@@ -112,7 +113,7 @@ def test_omega_must_be_multiple_of_mu():
         (dict(mu_s=0), "mu_s"),
         (dict(omega_s=-1), "omega_s"),
         (dict(epsilon_bytes=-1), "epsilon_bytes"),
-        # Intervals that round to 0 ns used to divide by zero in validate().
+        # Intervals that round to 0 ns used to divide by zero in the checks.
         (dict(mu_s=1e-10), "mu_s"),
         (dict(omega_s=4.9e-10), "omega_s"),
         (dict(mu_s=float("nan")), "mu_s"),
@@ -122,7 +123,7 @@ def test_omega_must_be_multiple_of_mu():
 )
 def test_params_validation(kwargs, field):
     with pytest.raises(ValidationError, match=field):
-        EstimatorParams(**kwargs).validate()
+        EstimatorParams(**kwargs)
 
 
 # -- log-view estimators -------------------------------------------------------
@@ -215,7 +216,7 @@ def _uniform_trace(touch_pages, passes, gap=100):
 def test_vmware_full_coverage():
     tr = _uniform_trace(500, 10)
     pass_ns = 500 * 100
-    est = estimate_vmware(tr, 500, params(), sample_size=100, period_s=2 * pass_ns / 1e9, seed=1)
+    est = estimate_vmware(tr, 500, params(), VmwareParams(100, 2 * pass_ns / 1e9), seed=1)
     assert est.wss_pages == 500
 
 
@@ -230,20 +231,32 @@ def test_vmware_untouched_memory():
 def test_vmware_period_must_be_whole_ns(period_s):
     # A period that rounds to 0 ns used to loop forever.
     with pytest.raises(ValidationError, match="period_s"):
-        estimate_vmware(_uniform_trace(10, 2), 50, params(), sample_size=5, period_s=period_s)
+        estimate_vmware(_uniform_trace(10, 2), 50, params(), VmwareParams(5, period_s))
 
 
 def test_vmware_sample_larger_than_allocation():
     tr = _uniform_trace(10, 2)
     with pytest.raises(ValidationError, match="sample_size"):
-        estimate_vmware(tr, 50, params(), sample_size=100)
+        estimate_vmware(tr, 50, params(), VmwareParams(sample_size=100))
 
 
 def test_vmware_sample_size_bounded():
     # 2^31 samples used to ask numpy for a 16 GiB block; the bound is checked
     # before anything is drawn.
-    with pytest.raises(ValidationError, match=r"^sample_size: must be within 1\.\.32768$"):
-        estimate_vmware(_uniform_trace(10, 2), 2**31, params(), sample_size=2**31)
+    with pytest.raises(ValidationError, match=r"^vmware\.sample_size: must be within 1\.\.32768$"):
+        estimate_vmware(_uniform_trace(10, 2), 2**31, params(), VmwareParams(sample_size=2**31))
+
+
+def test_vmware_sampled_pages_bounded(monkeypatch):
+    # 2^15 samples in each of 3,100 periods passed the bound on periods; at
+    # that bound such draws would have taken minutes. Nothing is drawn.
+    def no_draws(*args):
+        raise AssertionError("the baseline drew samples")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    tr = Trace(np.array([0, 3_100_000]), np.zeros(2), np.array([0, 1]), np.zeros(2, dtype=bool))
+    with pytest.raises(ValidationError, match=r"^vmware\.period_s: .* 3100 sampling periods of 32768 pages"):
+        estimate_vmware(tr, 40_000, params(), VmwareParams(1 << 15, 1e-6))
 
 
 def test_vmware_hot_subset_sampling_noise():
@@ -255,8 +268,7 @@ def test_vmware_hot_subset_sampling_noise():
     pass_ns = hot * 100
     period_s = 2 * pass_ns / 1e9
     estimates = [
-        estimate_vmware(tr, allocation, params(), sample_size=100,
-                        period_s=period_s, seed=s).wss_pages
+        estimate_vmware(tr, allocation, params(), VmwareParams(100, period_s), seed=s).wss_pages
         for s in range(60)
     ]
     p_hot = hot / allocation
@@ -269,8 +281,8 @@ def test_vmware_hot_subset_sampling_noise():
 
 def test_vmware_deterministic_per_seed():
     tr = _uniform_trace(300, 8)
-    a = estimate_vmware(tr, 3000, params(), period_s=300 * 100 / 1e9, seed=42)
-    b = estimate_vmware(tr, 3000, params(), period_s=300 * 100 / 1e9, seed=42)
+    a = estimate_vmware(tr, 3000, params(), VmwareParams(period_s=300 * 100 / 1e9), seed=42)
+    b = estimate_vmware(tr, 3000, params(), VmwareParams(period_s=300 * 100 / 1e9), seed=42)
     assert a == b
 
 
@@ -313,8 +325,8 @@ def test_vmware_matches_per_period_reference(case, chunk):
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:
             mp.setattr(trace_mod, "_CHUNK", chunk)
-        est = estimate_vmware(trace, allocated, params(), sample_size=sample_size,
-                              period_s=period_s, seed=seed, until_ns=until)
+        est = estimate_vmware(trace, allocated, params(), VmwareParams(sample_size, period_s),
+                              seed=seed, until_ns=until)
     observations, wss = reference_vmware(trace, allocated, sample_size, period_s, seed, until)
     assert est.observations == observations
     assert est.wss_pages == wss
@@ -326,7 +338,7 @@ def test_vmware_huge_allocation_matches_reference(allocated):
     # Keys of period x allocation + page must fit int64: a block holds 3
     # periods at 2^61 pages and one from 2^62 up.
     tr = _uniform_trace(7, 8, gap=10)
-    est = estimate_vmware(tr, allocated, params(), sample_size=2, period_s=30e-9, seed=3)
+    est = estimate_vmware(tr, allocated, params(), VmwareParams(2, 30e-9), seed=3)
     assert (est.observations, est.wss_pages) == reference_vmware(tr, allocated, 2, 30e-9, 3)
     assert len(est.observations) == 18
 

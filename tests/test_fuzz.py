@@ -16,18 +16,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pagelog.errors import TraceParseError, ValidationError
-from pagelog.estimator import EstimatorParams
+from pagelog.estimator import EstimatorParams, VmwareParams
 from pagelog.mmu import TlbConfig
 from pagelog.sim import load_scenario, parse_scenario_text, run, run_paired
 from pagelog.trace import WorkloadSpec, read_trace
 from pagelog.tracker import TrackingConfig
 
 SECTIONS = {"workload": WorkloadSpec, "tracking": TrackingConfig, "tlb": TlbConfig,
-            "estimator": EstimatorParams}
+            "estimator": EstimatorParams, "vmware": VmwareParams}
 KEYS = [f"{section}.{f.name}" for section, cls in SECTIONS.items()
         for f in dataclasses.fields(cls)]
-KEYS += ["workload.trace", "estimators", "seed", "vm_pages", "vmware.sample_size",
-         "vmware.period_s"]
+KEYS += ["workload.trace", "estimators", "seed", "vm_pages"]
 
 values = st.one_of(
     st.text(max_size=12),

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import reference_run
 
 from pagelog.errors import ValidationError
-from pagelog.estimator import DEFAULT_VMWARE_PERIOD_S, DEFAULT_VMWARE_SAMPLE_SIZE, EstimatorParams
+from pagelog.estimator import EstimatorParams, VmwareParams
 from pagelog import sim
 from pagelog import trace as trace_mod
 from pagelog.mmu import TLB_HIT, Tlb, TlbConfig, walk_codes
@@ -20,15 +22,18 @@ from pagelog.sim import (
     ESTIMATOR_VMWARE,
     OBS_DTYPE,
     Scenario,
+    _simulate,
+    load_scenario,
     parse_scenario_text,
     report_to_json,
     run,
     run_paired,
 )
-from pagelog.tracker import TrackingConfig, TrackingMode
-from pagelog.trace import Pattern, Trace, WorkloadSpec, generate
+from pagelog.tracker import Tracker, TrackingConfig, TrackingMode
+from pagelog.trace import Pattern, Trace, WorkloadSpec, generate, write_trace_file
 
 US = 1e-6
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def paml_scenario(workload, latency=2, buffer_entries=512, tau=50, mu_s=1e-3, omega_s=4e-3,
@@ -229,8 +234,6 @@ def test_chunk_seams_match_reference(case, chunk):
 @settings(max_examples=150, deadline=None)
 @given(multi_vcpu_runs())
 def test_conservation_laws_of_both_modes(case):
-    from pagelog.sim import _simulate
-
     trace, tracking, tlb, params = case
     out = _simulate(trace, walk_codes(trace, tlb), tracking, params)
     s = out.stats
@@ -238,6 +241,9 @@ def test_conservation_laws_of_both_modes(case):
     if tracking.mode is TrackingMode.PAML:
         assert out.walks == s.logged + s.full_events + s.missed_gpas
         assert s.vm_stall_ns == 0
+        # Every held round has capacity - 1 entries, and a batch folds each one.
+        assert out.handler_busy_ns == (s.full_events * (tracking.buffer_entries - 1)
+                                       * tracking.handler_latency_per_entry_ns)
     else:
         # Dirty flags are never cleared and each vCPU's TLB keeps its own.
         written = {(v, g) for v, g, w in zip(trace.vcpu.tolist(), trace.gppn.tolist(),
@@ -247,6 +253,24 @@ def test_conservation_laws_of_both_modes(case):
         assert s.full_events <= s.logged // tracking.buffer_entries
         assert s.vm_stall_ns == s.full_events * tracking.vmexit_cost_ns
         assert s.missed_gpas == 0
+        assert out.handler_busy_ns == 0
+
+
+def test_pml_observations_drain_only_trackers_fed_since_the_last(monkeypatch):
+    # 256 vCPUs write once each over 10,000 observations. Flush-on-query used
+    # to drain every tracker at every observation: 2,560,256 calls.
+    n = 256
+    trace = Trace(np.arange(n) * 39_216, np.arange(n), np.arange(n), np.ones(n, dtype=bool))
+    calls = []
+    drain = Tracker.drain_residual
+    monkeypatch.setattr(Tracker, "drain_residual", lambda tracker: calls.append(1) or drain(tracker))
+    out = _simulate(trace, walk_codes(trace, TlbConfig()), TrackingConfig(mode=TrackingMode.PML),
+                    EstimatorParams(tau=1, mu_s=1e-6, omega_s=4e-6))
+    assert len(out.observations) == 10_001
+    assert len(calls) <= 2 * n
+    # Each observation still sees every write made by its instant.
+    assert out.observations.distinct_pages.tolist() == np.searchsorted(
+        trace.t, out.observations.t_ns, side="right").tolist()
 
 
 def test_dropped_hot_pages_reappear_with_enough_repetition():
@@ -434,7 +458,7 @@ def test_parse_full_scenario():
     assert sc.estimator.tau == 8 and sc.estimator.epsilon_bytes == 2048
     assert sc.estimators_enabled == {ESTIMATOR_PRL, ESTIMATOR_ORACLE, ESTIMATOR_VMWARE}
     assert sc.vm_pages == 512
-    assert sc.vmware_sample_size == 50
+    assert sc.vmware == VmwareParams(sample_size=50, period_s=0.0002)
     assert sc.seed == 21
     run(sc)  # parses into something executable
 
@@ -453,12 +477,11 @@ def test_minimal_scenario_takes_dataclass_defaults():
     assert sc.tracking == TrackingConfig()
     assert sc.tlb == TlbConfig()
     assert sc.estimator == EstimatorParams()
-    assert (sc.vmware_sample_size, sc.vmware_period_s) == (
-        DEFAULT_VMWARE_SAMPLE_SIZE, DEFAULT_VMWARE_PERIOD_S)
+    assert sc.vmware == VmwareParams()
 
 
 SECTIONS = {"workload": WorkloadSpec, "tracking": TrackingConfig, "tlb": TlbConfig,
-            "estimator": EstimatorParams}
+            "estimator": EstimatorParams, "vmware": VmwareParams}
 
 
 @pytest.mark.parametrize(
@@ -569,7 +592,7 @@ def test_clock_starts_at_first_access():
         tlb=TlbConfig(entries=4, ways=1),
         estimator=EstimatorParams(tau=2, mu_s=1e-5, omega_s=4e-5),
         estimators_enabled=frozenset({ESTIMATOR_PRL, ESTIMATOR_VMWARE, ESTIMATOR_ORACLE}),
-        vm_pages=20, vmware_sample_size=5, vmware_period_s=2e-6,
+        vm_pages=20, vmware=VmwareParams(sample_size=5, period_s=2e-6),
     )
     a, b = run(sc, trace=base), run(sc, trace=shifted)
     assert len(a.observations) == len(b.observations) == 10
@@ -590,7 +613,7 @@ def test_run_over_full_int64_span(mode, native):
         tracking=TrackingConfig(mode=mode, buffer_entries=2),
         estimator=EstimatorParams(tau=1, mu_s=1e4, omega_s=4e4),
         estimators_enabled=frozenset({native, ESTIMATOR_VMWARE, ESTIMATOR_ORACLE}),
-        vmware_sample_size=2,
+        vmware=VmwareParams(sample_size=2),
     )
     rep = run(sc, trace=trace)
     assert rep.span_ns == 2**63 - 1
@@ -605,7 +628,7 @@ def test_vmware_periods_bounded():
     sc = Scenario(
         workload=WorkloadSpec(n_pages=2, pattern=Pattern.RWRW, inter_access_gap_ns=333_334),
         estimators_enabled=frozenset({ESTIMATOR_VMWARE}),
-        vmware_sample_size=1, vmware_period_s=1e-9,
+        vmware=VmwareParams(sample_size=1, period_s=1e-9),
     )
     with pytest.raises(ValidationError, match="vmware.period_s"):
         run(sc)
@@ -626,6 +649,31 @@ def test_vmware_sample_larger_than_allocation_fails_before_the_walk_stage(monkey
     # The paml pass of a paired run always samples, whatever the scenario enables.
     with pytest.raises(ValidationError, match=message):
         run_paired(dataclasses.replace(sc, estimators_enabled=frozenset({ESTIMATOR_ORACLE})))
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")), ids=lambda p: p.stem)
+def test_replayed_trace_reports_like_its_generated_workload(path, tmp_path):
+    write_trace_file(generate(load_scenario(path).workload), tmp_path / "trace.csv")
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("workload.")]
+    replay = tmp_path / path.name
+    replay.write_text("\n".join(lines + ["workload.trace = trace.csv", ""]))
+    assert load_scenario(replay).workload is None
+    assert report_to_json(run(load_scenario(replay))) == report_to_json(run(load_scenario(path)))
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: EstimatorParams(mu_s=1e-12), "mu_s"),
+    (lambda: TlbConfig(entries=3, ways=2), "entries"),
+    (lambda: TrackingConfig(buffer_entries=1), "buffer_entries"),
+    (lambda: WorkloadSpec(n_pages=0, pattern=Pattern.RWRW), "n_pages"),
+    (lambda: VmwareParams(sample_size=0), "vmware.sample_size"),
+    (Scenario, "workload"),
+], ids=["estimator", "tlb", "tracking", "workload", "vmware", "scenario"])
+def test_configs_refuse_bad_values_when_built(build, field):
+    # Configs used to be checked only where a stage called validate():
+    # EstimatorParams(mu_s=1e-12) was built, and a run then divided by zero.
+    with pytest.raises(ValidationError, match=rf"^{re.escape(field)}:"):
+        build()
 
 
 def test_observations_bounded():
