@@ -37,7 +37,7 @@ from .trace import (
     write_trace,
     write_trace_file,
 )
-from .tracker import Tracker, TrackerStats, TrackingConfig, TrackingMode
+from .tracker import Tracker, TrackingConfig, TrackingMode
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "write_trace",
     "write_trace_file",
     "Tracker",
-    "TrackerStats",
     "TrackingConfig",
     "TrackingMode",
 ]

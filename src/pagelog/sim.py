@@ -50,13 +50,7 @@ from .estimator import (
 )
 from .handler import CumulativeLog, batch_duration_ns, handle_full
 from .mmu import TLB_WALK_DIRTY, TlbConfig, walk_codes
-from .tracker import (
-    OBS_FULL,
-    Tracker,
-    TrackerStats,
-    TrackingConfig,
-    TrackingMode,
-)
+from .tracker import OBS_FULL, Tracker, TrackingConfig, TrackingMode
 from .trace import Trace, WorkloadSpec, decimal_rows, generate, read_trace_file
 
 ESTIMATOR_PRL = "prl"
@@ -124,7 +118,10 @@ class SimReport:
     trace_len: int
     span_ns: int
     walks: int
-    stats: TrackerStats
+    full_events: int  # the four tracker counters, summed over vCPUs
+    missed_gpas: int
+    logged: int
+    vm_stall_ns: int
     ground_truth_wss_pages: Optional[int]
     allocated_pages: int
     log_total: int
@@ -135,13 +132,13 @@ class SimReport:
 
     @property
     def vm_effective_runtime_ns(self) -> int:
-        return self.span_ns + self.stats.vm_stall_ns
+        return self.span_ns + self.vm_stall_ns
 
     @property
     def overhead_percent(self) -> float:
         if self.span_ns == 0:
             return 0.0
-        return self.stats.vm_stall_ns / self.span_ns * 100.0
+        return self.vm_stall_ns / self.span_ns * 100.0
 
     @property
     def pvm_utilization_percent(self) -> float:
@@ -151,17 +148,16 @@ class SimReport:
 
     def scalar_fields(self) -> list:
         """``(name, value)`` of every scalar report field, in report order."""
-        s = self.stats
         return [
             ("scenario", self.scenario_name),
             ("mode", self.mode),
             ("trace_len", self.trace_len),
             ("span_ns", self.span_ns),
             ("walks", self.walks),
-            ("full_events", s.full_events),
-            ("missed_gpas", s.missed_gpas),
-            ("logged", s.logged),
-            ("vm_stall_ns", s.vm_stall_ns),
+            ("full_events", self.full_events),
+            ("missed_gpas", self.missed_gpas),
+            ("logged", self.logged),
+            ("vm_stall_ns", self.vm_stall_ns),
             ("vm_effective_runtime_ns", self.vm_effective_runtime_ns),
             ("overhead_percent", self.overhead_percent),
             ("handler_busy_ns", self.handler_busy_ns),
@@ -193,8 +189,8 @@ class SimReport:
         lines = [
             f"scenario {self.scenario_name}: mode={self.mode} accesses={self.trace_len} "
             f"span={self.span_ns} ns walks={self.walks}",
-            f"  tracker: logged={self.stats.logged} full_events={self.stats.full_events} "
-            f"missed={self.stats.missed_gpas} stall={self.stats.vm_stall_ns} ns "
+            f"  tracker: logged={self.logged} full_events={self.full_events} "
+            f"missed={self.missed_gpas} stall={self.vm_stall_ns} ns "
             f"overhead={self.overhead_percent:.4f}%",
             f"  log: total={self.log_total} distinct={self.log_distinct} "
             f"ground_truth={self.ground_truth_wss_pages}",
@@ -209,7 +205,7 @@ class SimReport:
 
 class _EngineOutput(NamedTuple):
     walks: int
-    stats: TrackerStats
+    trackers: dict  # vCPU id -> Tracker, in id order
     log: CumulativeLog
     observations: np.recarray
     handler_busy_ns: int
@@ -319,8 +315,7 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
         # (or an observation interval) still yield their final counts.
         observations[k] = (end_t, log.hot_count, log.distinct_count)
 
-    stats = TrackerStats(*map(sum, zip(*(dataclasses.astuple(t.stats()) for t in trackers.values()))))
-    return _EngineOutput(int(np.count_nonzero(codes)), stats, log, observations, handler_busy_ns)
+    return _EngineOutput(int(np.count_nonzero(codes)), trackers, log, observations, handler_busy_ns)
 
 
 def _allocated_pages(scenario: Scenario, trace: Trace) -> int:
@@ -376,7 +371,7 @@ def _report(scenario: Scenario, trace: Trace, allocated: int,
     enabled = scenario.estimators_enabled
 
     if mode is TrackingMode.OFF:
-        out = _EngineOutput(0, TrackerStats(), CumulativeLog(params.tau),
+        out = _EngineOutput(0, {}, CumulativeLog(params.tau),
                             np.recarray(0, dtype=OBS_DTYPE), 0)
     else:
         out = _simulate(trace, codes, scenario.tracking, params)
@@ -396,13 +391,17 @@ def _report(scenario: Scenario, trace: Trace, allocated: int,
         estimates[ESTIMATOR_VMWARE] = estimate_vmware(trace, allocated, params, scenario.vmware,
                                                       seed=scenario.seed, until_ns=until)
 
+    trackers = out.trackers.values()
     return SimReport(
         scenario_name=scenario.name,
         mode=mode.value,
         trace_len=len(trace),
         span_ns=trace.span_ns,
         walks=out.walks,
-        stats=out.stats,
+        full_events=sum(t.full_events for t in trackers),
+        missed_gpas=sum(t.missed_gpas for t in trackers),
+        logged=sum(t.logged for t in trackers),
+        vm_stall_ns=sum(t.vm_stall_ns for t in trackers),
         ground_truth_wss_pages=trace.ground_truth_wss_pages,
         allocated_pages=allocated,
         log_total=out.log.total,
@@ -460,13 +459,12 @@ def run_paired(scenario: Scenario, trace: Optional[Trace] = None) -> PairedCompa
 
     def row(name: str, report: SimReport, counted: bool) -> PairedRow:
         est = report.estimates[name]
-        stats = report.stats if counted else TrackerStats()
         return PairedRow(
             estimator=name,
             wss_pages=est.wss_pages,
             error_pages=abs(est.wss_pages - oracle.wss_pages),
-            full_events=stats.full_events,
-            missed_gpas=stats.missed_gpas,
+            full_events=report.full_events if counted else 0,
+            missed_gpas=report.missed_gpas if counted else 0,
             overhead_percent=report.overhead_percent if counted else 0.0,
         )
 

@@ -69,14 +69,6 @@ class TrackingConfig:
             raise ValidationError("handler_latency_per_entry_ns: must be >= 0")
 
 
-@dataclass(frozen=True)
-class TrackerStats:
-    full_events: int = 0
-    missed_gpas: int = 0
-    logged: int = 0
-    vm_stall_ns: int = 0
-
-
 class Tracker:
     """Per-vCPU logging hardware instance."""
 
@@ -160,14 +152,6 @@ class Tracker:
         self.index = self.config.buffer_entries - 1
         return snap
 
-    def stats(self) -> TrackerStats:
-        return TrackerStats(
-            full_events=self.full_events,
-            missed_gpas=self.missed_gpas,
-            logged=self.logged,
-            vm_stall_ns=self.vm_stall_ns,
-        )
-
 
 __all__ = [
     "TrackingMode",
@@ -176,6 +160,5 @@ __all__ = [
     "OBS_IGNORED",
     "OBS_FULL",
     "TrackingConfig",
-    "TrackerStats",
     "Tracker",
 ]

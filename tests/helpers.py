@@ -6,7 +6,8 @@ handler completions and observations before every access, where the engine
 fires them before walks only, so it is an independent route to the same
 semantics as ``pagelog.sim.run``. It is used to cross-check the engine on
 small scenarios, and to expose per-walk outcomes (e.g. which pages were
-dropped) that the engine does not report.
+dropped) that the engine does not report. Like the engine, it returns its
+trackers by vCPU id, so ``counters`` compares each vCPU's counters.
 
 ``reference_write_trace`` and ``reference_read_trace`` are the trace file
 writer and reader as they were before trace I/O moved onto arrays: one
@@ -24,7 +25,6 @@ period. ``estimate_vmware`` must give the same series and estimate.
 
 from __future__ import annotations
 
-from dataclasses import astuple
 from types import SimpleNamespace
 from typing import BinaryIO, Optional
 
@@ -38,7 +38,6 @@ from pagelog.tracker import (
     OBS_DROPPED,
     OBS_FULL,
     Tracker,
-    TrackerStats,
     TrackingConfig,
     TrackingMode,
 )
@@ -126,14 +125,18 @@ def reference_run(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
     if len(trace):
         observations.append((end_t, hot_count(), len(log.counts)))
 
-    stats = TrackerStats(*map(sum, zip(*(astuple(trackers[v].stats()) for v in vcpus))))
     return SimpleNamespace(
         walks=walks,
-        stats=stats,
+        trackers=trackers,
         log=log,
         observations=observations,
         dropped_pages=dropped_pages,
     )
+
+
+def counters(trackers: dict) -> dict:
+    """``{vcpu: (full_events, missed_gpas, logged, vm_stall_ns)}`` of a run's trackers."""
+    return {v: (t.full_events, t.missed_gpas, t.logged, t.vm_stall_ns) for v, t in trackers.items()}
 
 
 _WSS_SIDECAR = "#wss="

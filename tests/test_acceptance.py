@@ -168,14 +168,14 @@ def test_criterion_4_overhead_asymmetry():
     pml_rep = run(Scenario(workload=wl, tracking=TrackingConfig(mode=TrackingMode.PML,
                                                                 vmexit_cost_ns=4000), **base))
     paml_rep = run(Scenario(workload=wl, tracking=TrackingConfig(mode=TrackingMode.PAML), **base))
-    assert pml_rep.stats.full_events >= 1
+    assert pml_rep.full_events >= 1
     assert pml_rep.overhead_percent > 0
-    expected = pml_rep.stats.full_events * 4000 / pml_rep.span_ns * 100
+    expected = pml_rep.full_events * 4000 / pml_rep.span_ns * 100
     assert abs(pml_rep.overhead_percent - expected) <= 1e-9
     assert paml_rep.overhead_percent == 0.0
-    assert paml_rep.stats.vm_stall_ns == 0
+    assert paml_rep.vm_stall_ns == 0
     print(f"[acceptance] criterion 4 PASS: pml overhead {pml_rep.overhead_percent:.6f}% "
-          f"({pml_rep.stats.full_events} exits), paml overhead 0 exactly")
+          f"({pml_rep.full_events} exits), paml overhead 0 exactly")
 
 
 # -- criterion 5: missed pages stay negligible across buffer sizes ---------------
@@ -197,14 +197,14 @@ def _missed_report(buffer_entries):
 def test_criterion_5_missed_accounting_table_shape():
     reps = {b: _missed_report(b) for b in (512, 1024)}
     for b, rep in reps.items():
-        frac = rep.stats.missed_gpas / rep.walks
+        frac = rep.missed_gpas / rep.walks
         assert frac <= 0.001, f"buffer {b}: missed fraction {frac:.5%}"
     wss = {b: rep.estimates[ESTIMATOR_PRL].wss_pages for b, rep in reps.items()}
     assert abs(wss[512] - wss[1024]) <= 1
     print("[acceptance] criterion 5 PASS: "
           + ", ".join(
-              f"{b} entries -> {reps[b].stats.full_events} fulls, "
-              f"{reps[b].stats.missed_gpas} missed ({reps[b].stats.missed_gpas / reps[b].walks:.4%})"
+              f"{b} entries -> {reps[b].full_events} fulls, "
+              f"{reps[b].missed_gpas} missed ({reps[b].missed_gpas / reps[b].walks:.4%})"
               for b in (512, 1024))
           + f"; wss {wss[512]} vs {wss[1024]}")
 
@@ -240,9 +240,8 @@ def test_criterion_6_conservation_200_scenarios():
         sc = Scenario(workload=spec, tracking=tracking, estimator=params,
                       estimators_enabled=frozenset({ESTIMATOR_PRL}))
         rep = run(sc, trace=trace)
-        s = rep.stats
-        assert s.logged + s.missed_gpas + s.full_events == rep.walks
-        assert rep.log_total == s.logged
+        assert rep.logged + rep.missed_gpas + rep.full_events == rep.walks
+        assert rep.log_total == rep.logged
         checked += 1
     assert checked == 200
     print(f"[acceptance] criterion 6 PASS: conservation held on {checked} randomized runs")

@@ -2,9 +2,11 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pagelog.cli import main
+from pagelog.trace import Trace, write_trace_file
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -117,6 +119,67 @@ def test_compare_scenarios_pinned(capsys):
     assert sorted(p.stem for p in SCENARIOS.glob("*.scn")) == sorted(REPORT_SHA256)
     assert main(["compare", *sorted(str(p) for p in SCENARIOS.glob("*.scn"))]) == 0
     assert _sha256(capsys.readouterr().out) == COMPARE_SHA256
+
+
+# Digests of the outputs the pins above miss, for each scenarios/*.scn, recorded
+# before the run counters moved onto SimReport as four summed fields:
+# (run summary on stdout, dist on stdout).
+SUMMARY_DIST_SHA256 = {
+    "cold_prefix": ("d990804d18eff6883817f4a3f5c315ebac6004d5291a74725a3c0b12ca7afba6",
+                    "42202835efaca047569f315bf30921e99c8cb7a4168cf64c11bcb8600a27674a"),
+    "pml_write_heavy": ("5d316b2f47bb71062b39f12021a2dd683341f2064bc74c85f2ae594bc964ac7a",
+                        "76658c96f90bbf066c798fb698a4cf692aa9376cb68a2e814f00818ba9105c4d"),
+    "rwrw_small": ("a280eb763faff8e6613be2efc9202bd63d33e64c16ca8a3928e39219eecfeef2",
+                   "90770bd14bfec4cc0a7e7f3e52050b683a9133b2620fb1065749d3eb67501fdc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARY_DIST_SHA256))
+def test_run_summary_and_dist_pinned(name, capsys):
+    summary_sha, dist_sha = SUMMARY_DIST_SHA256[name]
+    scenario = str(SCENARIOS / f"{name}.scn")
+    assert main(["run", scenario]) == 0
+    assert _sha256(capsys.readouterr().out) == summary_sha
+    assert main(["dist", scenario]) == 0
+    assert _sha256(capsys.readouterr().out) == dist_sha
+
+
+# A 2-vCPU trace with sparse vCPU ids and a 40% write mix, replayed from a file.
+TWO_VCPU_SCENARIO = """
+workload.trace = two_vcpu.csv
+tracking.mode = {mode}
+tracking.buffer_entries = 16
+tracking.handler_latency_per_entry_ns = 3
+estimator.tau = 2
+estimator.mu_s = 0.00002
+estimator.omega_s = 0.00008
+estimators = {estimators}
+vmware.period_s = 0.0001
+seed = 5
+"""
+# Digests of run --json of that scenario, recorded with SUMMARY_DIST_SHA256.
+TWO_VCPU_JSON_SHA256 = {
+    "pml": "d15e613940aa83c38c4c3e6767e80c62e23b1e2b54bb7ddfe6047a8a61a3ee5d",
+    "paml": "b9d11b1f88130288e274484b6a69aa3272c72bd6f2c71dd22aaf73d7ac87b594",
+}
+
+
+def _two_vcpu_trace() -> Trace:
+    rng = np.random.default_rng(2024)
+    n = 4000
+    t = np.cumsum(rng.integers(1, 200, n))
+    vcpu = rng.choice(np.array([1, 4]), n)
+    gppn = rng.integers(0, 600, n)
+    return Trace(t, vcpu, gppn, rng.random(n) < 0.4)
+
+
+@pytest.mark.parametrize("mode,estimators", [("pml", "pml, oracle"), ("paml", "prl, oracle, vmware")])
+def test_multi_vcpu_trace_reports_pinned(mode, estimators, tmp_path, capsys):
+    write_trace_file(_two_vcpu_trace(), tmp_path / "two_vcpu.csv")
+    scenario = tmp_path / "two_vcpu.scn"
+    scenario.write_text(TWO_VCPU_SCENARIO.format(mode=mode, estimators=estimators))
+    assert main(["run", str(scenario), "--json"]) == 0
+    assert _sha256(capsys.readouterr().out) == TWO_VCPU_JSON_SHA256[mode]
 
 
 def test_gen_malformed_flag_usage_error(tmp_path):

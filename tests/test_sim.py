@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_run
+from helpers import counters, reference_run
 
 from pagelog.errors import ValidationError
 from pagelog.estimator import EstimatorParams, VmwareParams
@@ -71,8 +71,8 @@ def test_report_to_json_is_the_indented_dump(chunk, monkeypatch):
 def test_paml_never_stalls_the_vm():
     sc = paml_scenario(WorkloadSpec(n_pages=600, pattern=Pattern.WRITE_INTENSITY, wi=80, d_iters=8))
     rep = run(sc)
-    assert rep.stats.full_events > 0
-    assert rep.stats.vm_stall_ns == 0
+    assert rep.full_events > 0
+    assert rep.vm_stall_ns == 0
     assert rep.overhead_percent == 0.0
 
 
@@ -84,9 +84,9 @@ def test_pml_read_only_workload_never_exits():
         estimators_enabled=frozenset({ESTIMATOR_ORACLE}),
     )
     rep = run(sc)
-    assert rep.stats.full_events == 0
+    assert rep.full_events == 0
     assert rep.overhead_percent == 0.0
-    assert rep.stats.logged == 0
+    assert rep.logged == 0
 
 
 def test_pml_overhead_accounting():
@@ -98,8 +98,8 @@ def test_pml_overhead_accounting():
         estimators_enabled=frozenset({ESTIMATOR_ORACLE}),
     )
     rep = run(sc)
-    assert rep.stats.full_events == 4  # 2048 first-write walks / 512
-    assert rep.stats.vm_stall_ns == 4 * 4000
+    assert rep.full_events == 4  # 2048 first-write walks / 512
+    assert rep.vm_stall_ns == 4 * 4000
     assert rep.overhead_percent == pytest.approx(4 * 4000 / rep.span_ns * 100, abs=1e-12)
     assert rep.vm_effective_runtime_ns == rep.span_ns + 16000
 
@@ -113,18 +113,17 @@ def test_access_precedes_handler_completion_at_same_instant():
     sc = paml_scenario(wl, latency=100, buffer_entries=2, tau=1)
     rep = run(sc)
     assert rep.walks == 900
-    assert rep.stats.logged == 300
-    assert rep.stats.full_events == 300
-    assert rep.stats.missed_gpas == 300
+    assert rep.logged == 300
+    assert rep.full_events == 300
+    assert rep.missed_gpas == 300
 
 
 def test_conservation_and_final_drain():
     sc = paml_scenario(WorkloadSpec(n_pages=333, pattern=Pattern.WWRR, d_iters=7), latency=20,
                        buffer_entries=64)
     rep = run(sc)
-    s = rep.stats
-    assert s.logged + s.missed_gpas + s.full_events == rep.walks
-    assert rep.log_total == s.logged
+    assert rep.logged + rep.missed_gpas + rep.full_events == rep.walks
+    assert rep.log_total == rep.logged
 
 
 def test_engine_matches_reference_composition():
@@ -160,7 +159,7 @@ def test_engine_matches_reference_composition():
         out = _simulate(trace, walk_codes(trace, tlb), tracking, params)
         ref = reference_run(trace, tracking, tlb, params)
         assert out.walks == ref.walks
-        assert out.stats == ref.stats
+        assert counters(out.trackers) == counters(ref.trackers)
         assert out.log.total == ref.log.total
         assert out.log.counts == ref.log.counts
         assert [(o.t_ns, o.hot_pages, o.distinct_pages) for o in out.observations] == ref.observations
@@ -199,7 +198,7 @@ def test_multi_vcpu_engine_matches_reference(case):
     out = _simulate(trace, walk_codes(trace, tlb), tracking, params)
     ref = reference_run(trace, tracking, tlb, params)
     assert out.walks == ref.walks
-    assert out.stats == ref.stats
+    assert counters(out.trackers) == counters(ref.trackers)
     assert out.log.counts == ref.log.counts
     assert [(o.t_ns, o.hot_pages, o.distinct_pages) for o in out.observations] == ref.observations
 
@@ -226,7 +225,7 @@ def test_chunk_seams_match_reference(case, chunk):
     assert codes.tolist() == _per_access_codes(trace, tlb)
     ref = reference_run(trace, tracking, tlb, params)
     assert out.walks == ref.walks
-    assert out.stats == ref.stats
+    assert counters(out.trackers) == counters(ref.trackers)
     assert out.log.counts == ref.log.counts
     assert [(o.t_ns, o.hot_pages, o.distinct_pages) for o in out.observations] == ref.observations
 
@@ -236,23 +235,26 @@ def test_chunk_seams_match_reference(case, chunk):
 def test_conservation_laws_of_both_modes(case):
     trace, tracking, tlb, params = case
     out = _simulate(trace, walk_codes(trace, tlb), tracking, params)
-    s = out.stats
-    assert out.log.total == s.logged
+    trackers = out.trackers.values()
+    full_events, missed_gpas, logged = (sum(getattr(t, name) for t in trackers)
+                                        for name in ("full_events", "missed_gpas", "logged"))
+    assert out.log.total == logged
     if tracking.mode is TrackingMode.PAML:
-        assert out.walks == s.logged + s.full_events + s.missed_gpas
-        assert s.vm_stall_ns == 0
+        assert out.walks == logged + full_events + missed_gpas
+        assert all(t.vm_stall_ns == 0 for t in trackers)
         # Every held round has capacity - 1 entries, and a batch folds each one.
-        assert out.handler_busy_ns == (s.full_events * (tracking.buffer_entries - 1)
+        assert out.handler_busy_ns == (full_events * (tracking.buffer_entries - 1)
                                        * tracking.handler_latency_per_entry_ns)
     else:
         # Dirty flags are never cleared and each vCPU's TLB keeps its own.
         written = {(v, g) for v, g, w in zip(trace.vcpu.tolist(), trace.gppn.tolist(),
                                              trace.is_write.tolist()) if w}
-        assert s.logged == len(written)
-        # <=, not ==: every observation drains partial buffers (flush-on-query).
-        assert s.full_events <= s.logged // tracking.buffer_entries
-        assert s.vm_stall_ns == s.full_events * tracking.vmexit_cost_ns
-        assert s.missed_gpas == 0
+        assert logged == len(written)
+        for t in trackers:
+            # <=, not ==: every observation drains partial buffers (flush-on-query).
+            assert t.full_events <= t.logged // tracking.buffer_entries
+            assert t.vm_stall_ns == t.full_events * tracking.vmexit_cost_ns
+            assert t.missed_gpas == 0
         assert out.handler_busy_ns == 0
 
 
@@ -282,7 +284,7 @@ def test_dropped_hot_pages_reappear_with_enough_repetition():
     params = EstimatorParams(tau=50, mu_s=1e-3, omega_s=4e-3)
     trace = generate(wl)
     ref = reference_run(trace, tracking, TlbConfig(), params)
-    assert ref.stats.missed_gpas > 0
+    assert ref.trackers[0].missed_gpas > 0
     assert len(ref.dropped_pages) > 0
     for page in ref.dropped_pages:
         assert ref.log.counts[page] >= params.tau
@@ -295,7 +297,7 @@ def test_prl_equals_walk_oracle_when_nothing_is_missed():
     pass_s = 400 * 100e-9
     sc = paml_scenario(wl, latency=0, mu_s=6 * pass_s, omega_s=24 * pass_s)
     rep = run(sc)
-    assert rep.stats.missed_gpas == 0
+    assert rep.missed_gpas == 0
 
     trace = generate(wl)
     tlb = Tlb(TlbConfig())
@@ -329,10 +331,11 @@ def test_multi_vcpu_trace_merges_into_one_log():
                   estimators_enabled=frozenset({ESTIMATOR_PRL}), vm_pages=2000)
     rep = run(sc, trace=trace)
     assert rep.walks > 0
-    assert rep.stats.logged + rep.stats.missed_gpas + rep.stats.full_events == rep.walks
+    assert rep.logged + rep.missed_gpas + rep.full_events == rep.walks
     assert rep.log_distinct == 200
     ref = reference_run(trace, tracking, TlbConfig(), params)
-    assert ref.stats == rep.stats
+    summed = tuple(map(sum, zip(*counters(ref.trackers).values())))
+    assert summed == (rep.full_events, rep.missed_gpas, rep.logged, rep.vm_stall_ns)
 
 
 def test_mode_off_runs_only_offline_estimators():
@@ -344,7 +347,7 @@ def test_mode_off_runs_only_offline_estimators():
     )
     rep = run(sc)
     assert rep.walks == 0
-    assert rep.stats.full_events == 0
+    assert rep.full_events == 0
     assert rep.estimates[ESTIMATOR_ORACLE].wss_pages == 100
     assert ESTIMATOR_VMWARE in rep.estimates
 
@@ -409,8 +412,8 @@ def test_overhead_zero_iff_paml_or_no_fulls():
     pml_sc = Scenario(workload=wl, tracking=TrackingConfig(mode=TrackingMode.PML),
                       estimators_enabled=frozenset({ESTIMATOR_ORACLE}))
     rep_paml, rep_pml = run(paml), run(pml_sc)
-    assert rep_paml.stats.full_events > 0 and rep_paml.overhead_percent == 0.0
-    assert rep_pml.stats.full_events > 0 and rep_pml.overhead_percent > 0.0
+    assert rep_paml.full_events > 0 and rep_paml.overhead_percent == 0.0
+    assert rep_pml.full_events > 0 and rep_pml.overhead_percent > 0.0
 
 
 # -- scenario files -----------------------------------------------------------
@@ -619,7 +622,7 @@ def test_run_over_full_int64_span(mode, native):
     assert rep.span_ns == 2**63 - 1
     assert len(rep.observations) == (2**63 - 1) // 10**13 + 1
     assert tuple(rep.observations[-1]) == (2**63 - 1, rep.log_distinct, rep.log_distinct)
-    assert rep.walks == 2 and rep.log_total == rep.stats.logged
+    assert rep.walks == 2 and rep.log_total == rep.logged
     assert rep.estimates[ESTIMATOR_ORACLE].wss_pages == 2
 
 

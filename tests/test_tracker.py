@@ -24,7 +24,7 @@ def pml(entries=512, **kw):
 def test_pml_ignores_clean_walks():
     tr = pml()
     assert tr.observe_raw(9, False) == OBS_IGNORED
-    assert tr.stats().logged == 0
+    assert tr.logged == 0
 
 
 def test_paml_logs_read_walk_at_top_slot():
@@ -42,11 +42,11 @@ def test_paml_full_event_semantics():
     assert tr.observe_raw(999, False) == OBS_FULL
     assert tr.index == -1
     assert tr.round == [100 + i for i in range(7)]  # 999 is not logged
-    assert tr.stats().missed_gpas == 0
+    assert tr.missed_gpas == 0
     # next walk before reset is dropped and counted
     assert tr.observe_raw(55, False) == OBS_DROPPED
-    assert tr.stats().missed_gpas == 1
-    assert tr.stats().full_events == 1
+    assert tr.missed_gpas == 1
+    assert tr.full_events == 1
     assert tr.round == [100 + i for i in range(7)]  # held until folded
     assert tr.drain_residual() == []
 
@@ -73,8 +73,8 @@ def test_reset_index_default_size():
 
 
 def test_fresh_tracker_stats_zero():
-    s = paml().stats()
-    assert (s.full_events, s.missed_gpas, s.logged, s.vm_stall_ns) == (0, 0, 0, 0)
+    tr = paml()
+    assert (tr.full_events, tr.missed_gpas, tr.logged, tr.vm_stall_ns) == (0, 0, 0, 0)
 
 
 def test_pml_full_round_of_512():
@@ -83,10 +83,9 @@ def test_pml_full_round_of_512():
     assert outcomes[:-1] == [OBS_LOGGED] * 511
     assert outcomes[-1] == OBS_FULL
     assert tr.round == list(range(512))  # log order, the trigger included
-    s = tr.stats()
-    assert s.full_events == 1
-    assert s.logged == 512
-    assert s.vm_stall_ns == 4000
+    assert tr.full_events == 1
+    assert tr.logged == 512
+    assert tr.vm_stall_ns == 4000
     assert tr.index == -1  # held: the VM stays stalled until the fold
     with pytest.raises(ProtocolError, match="round held"):
         tr.observe_raw(600, True)
@@ -100,9 +99,8 @@ def test_paml_round_logs_511():
     for i in range(511):
         assert tr.observe_raw(i, False) == OBS_LOGGED
     assert tr.observe_raw(511, False) == OBS_FULL
-    s = tr.stats()
-    assert s.full_events == 1
-    assert s.logged == 511
+    assert tr.full_events == 1
+    assert tr.logged == 511
 
 
 def test_paml_conservation_random():
@@ -121,10 +119,9 @@ def test_paml_conservation_random():
             if tr.index < 0 and rng.integers(0, 3) == 0:
                 tr.reset_index()
             assert -1 <= tr.index <= entries - 1
-        s = tr.stats()
-        assert s.logged + s.missed_gpas + s.full_events == walks
-        assert s.full_events == fulls_seen
-        assert s.vm_stall_ns == 0
+        assert tr.logged + tr.missed_gpas + tr.full_events == walks
+        assert tr.full_events == fulls_seen
+        assert tr.vm_stall_ns == 0
 
 
 def test_pml_log_set_subset_of_paml():
