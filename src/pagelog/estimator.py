@@ -189,8 +189,8 @@ def estimate_vmware(
     caller passes the comparison estimator's convergence instant); with no
     completed period, the open period is evaluated at that instant.
     """
-    if allocated_pages < 1:
-        raise ValidationError("allocated_pages: must be >= 1")
+    if not 1 <= allocated_pages <= trace_mod._INT64_MAX:
+        raise ValidationError("allocated_pages: must be within 1..2^63-1")
     sample_size, period_ns = vmware.sample_size, vmware.period_ns
     if sample_size > allocated_pages:
         raise ValidationError("vmware.sample_size: must not exceed allocated pages")

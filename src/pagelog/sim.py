@@ -338,6 +338,8 @@ def _checked(scenario: Scenario, trace: Optional[Trace]) -> tuple:
             f"vm_pages: trace references page {trace.max_gppn} outside the "
             f"{allocated}-page allocation"
         )
+    if ESTIMATOR_VMWARE in scenario.estimators_enabled and allocated > trace_mod._INT64_MAX:
+        raise ValidationError(f"vm_pages: vmware cannot sample a {allocated}-page allocation, above 2^63-1")
     if ESTIMATOR_VMWARE in scenario.estimators_enabled and scenario.vmware.sample_size > allocated:
         raise ValidationError(
             f"vmware.sample_size: {scenario.vmware.sample_size} samples exceed the "

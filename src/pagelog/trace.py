@@ -24,19 +24,18 @@ prefix is written first, and one main-loop pass is built once and repeated
 into the rest. The ``wi`` writes of all passes are drawn from the seeded
 stream in blocks of at most ``_CHUNK`` rows, in pass order.
 
-File format: CSV text, one access per line, ``t,vcpu,gppn,R|W``, LF line
-endings, no header. An optional first line ``#wss=<pages>`` carries the
-generator's ground-truth working set size.
+File format: CSV text, one access per line, ``t,vcpu,gppn,R|W``, no header.
+An optional first line ``#wss=<digits>`` carries the generator's ground-truth
+working set size. Fields are ASCII digits: 1 to 19, below 2^63, in ``t`` and
+``gppn``; 1 to 10, below 2^31, in ``vcpu``; ``t`` does not decrease. Each
+line ends in LF; the last may omit it.
 
-The writer formats whole columns at once. The reader parses a file in the
-canonical form that the writer emits as arrays, and hands anything else to a
-per-line parser, which alone reports parse errors.
+The writer formats whole columns at once; the reader parses chunks of lines
+as arrays and names the first line that breaks the grammar.
 """
 
 from __future__ import annotations
 
-import io
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import BinaryIO, Iterator, Optional, Sequence
@@ -198,7 +197,10 @@ class Trace:
 def _integer_column(name: str, values, dtype) -> np.ndarray:
     """``values`` as a ``dtype`` array; refuses a cast that changes a value."""
     values = np.asarray(values)
-    column = np.asarray(values, dtype=dtype)
+    try:
+        column = np.asarray(values, dtype=dtype)
+    except OverflowError:  # Python ints past the int64 range
+        raise ValidationError(f"{name}: values do not fit {np.dtype(dtype).name}") from None
     if values.dtype != dtype and not np.array_equal(column, values):
         raise ValidationError(f"{name}: values do not fit {np.dtype(dtype).name}")
     return column
@@ -260,13 +262,11 @@ def generate(spec: WorkloadSpec) -> Trace:
 # Trace file I/O
 # ---------------------------------------------------------------------------
 
-_WSS_SIDECAR = "#wss="
+_WSS_SIDECAR = b"#wss="
 _INT64_MAX = 2**63 - 1  # largest t and gppn the columns hold
 _INT32_MAX = 2**31 - 1  # largest vcpu
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # 10 .. 10^18: digit counts below 2^63
-# The sidecar line as write_trace emits it; any other '#' line goes to the per-line parser.
-_CANONICAL_SIDECAR = re.compile(rb"#wss=(\d{1,18})\n")
-_PAD = 18  # bytes ahead of each reader chunk, so that every field has a full-width window
+_PAD = 18  # bytes ahead of each reader chunk, so that every field (1 to 19 digits) has a full-width window
 
 
 def decimal_rows(pieces: Sequence[bytes], columns: Sequence[np.ndarray]) -> Iterator[tuple]:
@@ -309,7 +309,7 @@ def decimal_rows(pieces: Sequence[bytes], columns: Sequence[np.ndarray]) -> Iter
 def write_trace(trace: Trace, sink: BinaryIO) -> None:
     """Serialise ``trace`` as CSV text onto a binary stream."""
     if trace.ground_truth_wss_pages is not None:
-        sink.write(f"{_WSS_SIDECAR}{trace.ground_truth_wss_pages}\n".encode("ascii"))
+        sink.write(b"%s%d\n" % (_WSS_SIDECAR, trace.ground_truth_wss_pages))
     lo = 0
     for text, ends in decimal_rows((b"", b",", b",", b",R\n"), (trace.t, trace.vcpu, trace.gppn)):
         text[ends[trace.is_write[lo:lo + len(ends)]] - 2] = ord("W")
@@ -318,42 +318,32 @@ def write_trace(trace: Trace, sink: BinaryIO) -> None:
 
 
 def read_trace(source: BinaryIO) -> Trace:
-    """Parse a trace stream written by :func:`write_trace`.
+    """Parse a trace stream in the grammar that :func:`write_trace` emits.
 
-    Raises :class:`TraceParseError` with the offending 1-based line number
-    on any malformed line. The ``#wss=`` sidecar is optional. A stream in the
-    canonical form that :func:`write_trace` emits is parsed as arrays. Any
-    other stream, every malformed one included, goes to the per-line parser,
-    which reads a canonical stream to the same trace.
+    Raises :class:`TraceParseError` naming the first line (1-based) that
+    breaks the grammar of the module docstring.
     """
     data = source.read()
-    trace = _read_canonical(data)
-    return trace if trace is not None else _read_lines(io.BytesIO(data))
-
-
-def _read_canonical(data: bytes) -> Optional[Trace]:
-    """The trace in ``data`` if it is in canonical form, else None.
-
-    Canonical: an optional ``#wss=<digits>`` first line, then lines
-    ``<digits>,<digits>,<digits>,R|W``, each ending in LF, with 1 to 18
-    digits in ``t`` and ``gppn`` and 1 to 10 in ``vcpu``, ``vcpu`` < 2^31 and
-    ``t`` non-decreasing. The per-line parser reads such a stream to the
-    same trace: the range and order checks are the only ones of its checks
-    that these lines can fail.
-    """
+    if data[-1:] not in (b"", b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
     ground_truth = None
     start = 0
+    first_lineno = 1
     if data.startswith(b"#"):
-        sidecar = _CANONICAL_SIDECAR.match(data)
-        if sidecar is None:
-            return None
-        ground_truth = int(sidecar[1])
-        start = sidecar.end()
-    if len(data) > start and data[-1:] != b"\n":
-        return None
-    buf = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero(buf[start:] == ord("\n"))
-    ends += start
+        value = data[len(_WSS_SIDECAR):ends[0]] if data.startswith(_WSS_SIDECAR) else b""
+        if value[:1] == b"-" and value[1:].isdigit():
+            raise TraceParseError("negative #wss sidecar value", 1)
+        try:
+            ground_truth = int(value) if value.isdigit() else None
+        except ValueError:  # more digits than int() converts
+            pass
+        if ground_truth is None:
+            raise TraceParseError("bad #wss sidecar value", 1)
+        start = int(ends[0]) + 1
+        ends = ends[1:]
+        first_lineno = 2
     n = len(ends)
     t = np.empty(n, np.int64)
     vcpu = np.empty(n, np.int32)
@@ -364,19 +354,16 @@ def _read_canonical(data: bytes) -> Optional[Trace]:
         hi = min(lo + _CHUNK, n)
         stop = int(ends[hi - 1]) + 1
         columns = _parse_lines(buf[start:stop], ends[lo:hi] - start)
-        if columns is None:
-            return None
-        ct = columns[0]
-        if ct[0] < prev_t or np.any(ct[1:] < ct[:-1]):
-            return None
+        if columns is None or columns[0][0] < prev_t or np.any(columns[0][1:] < columns[0][:-1]):
+            raise _first_error(data[start:stop].split(b"\n")[:-1], first_lineno + lo, int(prev_t))
         t[lo:hi], vcpu[lo:hi], gppn[lo:hi], is_write[lo:hi] = columns
-        prev_t = ct[-1]
+        prev_t = t[hi - 1]
         start = stop
     return Trace(t, vcpu, gppn, is_write, ground_truth_wss_pages=ground_truth)
 
 
 def _parse_lines(lines: np.ndarray, ends: np.ndarray) -> Optional[tuple]:
-    """Columns of whole lines (bytes, each LF at ``ends``) if every line is canonical."""
+    """Columns of whole lines (bytes, each LF at ``ends``) if every line keeps the grammar, order aside."""
     n = len(ends)
     commas = np.flatnonzero(lines == ord(","))
     # Commas, ops and LFs are the only bytes that may not be digits.
@@ -397,85 +384,53 @@ def _parse_lines(lines: np.ndarray, ends: np.ndarray) -> Optional[tuple]:
     starts = np.empty(n, np.int64)
     starts[0] = _PAD
     starts[1:] = ends[:-1] + 1 + _PAD
-    t = _decimal(padded, starts, c[0], 18)
-    vcpu = _decimal(padded, c[0] + 1, c[1], 10)
-    gppn = _decimal(padded, c[1] + 1, c[2], 18)
-    if t is None or vcpu is None or gppn is None or vcpu.max() > _INT32_MAX:
+    t = _decimal(padded, starts, c[0], _INT64_MAX)
+    vcpu = _decimal(padded, c[0] + 1, c[1], _INT32_MAX)
+    gppn = _decimal(padded, c[1] + 1, c[2], _INT64_MAX)
+    if t is None or vcpu is None or gppn is None:
         return None
     return t, vcpu, gppn, is_write
 
 
-def _decimal(padded: np.ndarray, start: np.ndarray, end: np.ndarray, most: int) -> Optional[np.ndarray]:
-    """Values of the all-digit fields ``padded[start:end]``, or None unless each has 1..most digits."""
+def _decimal(padded: np.ndarray, start: np.ndarray, end: np.ndarray, largest: int) -> Optional[np.ndarray]:
+    """Values of the digit fields ``padded[start:end]``; None unless each fits ``largest`` in width and value."""
     length = end - start
-    if length.min() < 1 or length.max() > most:
+    if length.min() < 1 or length.max() > len(str(largest)):
         return None
     w = int(length.max())
     # Each field right-aligned in a w-byte window, the bytes ahead of it zeroed.
     digits = sliding_window_view(padded, w)[end - w] - ord("0")
     digits *= np.arange(w) >= (w - length)[:, None]
-    value = np.zeros(len(length), np.int64)
+    value = np.zeros(len(length), np.uint64)  # holds every 19-digit decimal
     for j in range(w):
         value *= 10
         value += digits[:, j]
-    return value
+    return value.view(np.int64) if value.max() <= largest else None
 
 
-def _read_lines(source: BinaryIO) -> Trace:
-    """The per-line parser: it accepts every form the format allows and raises every parse error."""
-    ground_truth: Optional[int] = None
-    ts: list[int] = []
-    vcpus: list[int] = []
-    gppns: list[int] = []
-    writes: list[bool] = []
-    prev_t = None
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.decode("ascii", errors="replace").strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if lineno == 1 and line.startswith(_WSS_SIDECAR):
-                try:
-                    ground_truth = int(line[len(_WSS_SIDECAR):])
-                except ValueError:
-                    raise TraceParseError("bad #wss sidecar value", lineno) from None
-                if ground_truth < 0:
-                    raise TraceParseError("negative #wss sidecar value", lineno)
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise TraceParseError(f"expected 4 fields, got {len(parts)}", lineno)
-        try:
-            t = int(parts[0])
-            vcpu = int(parts[1])
-            gppn = int(parts[2])
-        except ValueError:
-            raise TraceParseError("non-integer field", lineno) from None
-        op = parts[3]
-        if op == "W":
-            is_w = True
-        elif op == "R":
-            is_w = False
-        else:
-            raise TraceParseError(f"bad op code {op!r} (expected R or W)", lineno)
-        if t < 0 or vcpu < 0 or gppn < 0:
-            raise TraceParseError("negative field", lineno)
-        if t > _INT64_MAX or gppn > _INT64_MAX or vcpu > _INT32_MAX:
-            raise TraceParseError("field out of range (t, gppn < 2^63; vcpu < 2^31)", lineno)
-        if prev_t is not None and t < prev_t:
-            raise TraceParseError("timestamps must be non-decreasing", lineno)
-        prev_t = t
-        ts.append(t)
-        vcpus.append(vcpu)
-        gppns.append(gppn)
-        writes.append(is_w)
-    return Trace(
-        np.array(ts, dtype=np.int64),
-        np.array(vcpus, dtype=np.int32),
-        np.array(gppns, dtype=np.int64),
-        np.array(writes, dtype=bool),
-        ground_truth_wss_pages=ground_truth,
-    )
+def _first_error(lines: list, first_lineno: int, prev_t: int) -> TraceParseError:
+    """The error of the first line in a chunk's ``lines`` that breaks the grammar.
+
+    The checks go in the order: field count, non-integer, op code, range, order
+    against ``prev_t``, the t before the chunk.
+    """
+    for lineno, line in enumerate(lines, start=first_lineno):
+        fields = line.split(b",")
+        if len(fields) != 4:
+            return TraceParseError(f"expected 4 fields, got {len(fields)}", lineno)
+        t, vcpu, gppn, op = fields
+        if not (t.isdigit() and vcpu.isdigit() and gppn.isdigit()):
+            return TraceParseError("non-integer field", lineno)
+        if op not in (b"R", b"W"):
+            op = op.decode("ascii", errors="replace")
+            return TraceParseError(f"bad op code {op!r} (expected R or W)", lineno)
+        limits = ((t, _INT64_MAX), (vcpu, _INT32_MAX), (gppn, _INT64_MAX))
+        if any(len(f) > len(str(largest)) or int(f) > largest for f, largest in limits):
+            return TraceParseError("field out of range (t, gppn < 2^63; vcpu < 2^31)", lineno)
+        if int(t) < prev_t:
+            return TraceParseError("timestamps must be non-decreasing", lineno)
+        prev_t = int(t)
+    raise AssertionError("the array checks refused lines that pass every line check")
 
 
 def write_trace_file(trace: Trace, path) -> None:

@@ -9,10 +9,12 @@ small scenarios, and to expose per-walk outcomes (e.g. which pages were
 dropped) that the engine does not report. Like the engine, it returns its
 trackers by vCPU id, so ``counters`` compares each vCPU's counters.
 
-``reference_write_trace`` and ``reference_read_trace`` are the trace file
-writer and reader as they were before trace I/O moved onto arrays: one
-formatted string, and one parsed line, per access. The array paths must
-give the same bytes, and the same trace or ``TraceParseError``.
+``reference_write_trace`` is the trace file writer as it was before trace
+I/O moved onto arrays: one formatted string per access. ``reference_read_trace``
+states the file grammar one line at a time, in plain Python over
+``bytes.split``: the first line that breaks it raises its
+``TraceParseError``. The array paths must give the same bytes, and the same
+trace or ``TraceParseError``.
 
 ``reference_generate`` is the workload generator as it was before it built
 one pass and repeated it: one pattern pass, with its own ``wi`` draw, per
@@ -139,14 +141,14 @@ def counters(trackers: dict) -> dict:
     return {v: (t.full_events, t.missed_gpas, t.logged, t.vm_stall_ns) for v, t in trackers.items()}
 
 
-_WSS_SIDECAR = "#wss="
+_WSS_SIDECAR = b"#wss="
 _INT64_MAX = 2**63 - 1
 _INT32_MAX = 2**31 - 1
 
 
 def reference_write_trace(trace: Trace, sink: BinaryIO) -> None:
     if trace.ground_truth_wss_pages is not None:
-        sink.write(f"{_WSS_SIDECAR}{trace.ground_truth_wss_pages}\n".encode("ascii"))
+        sink.write(f"#wss={trace.ground_truth_wss_pages}\n".encode("ascii"))
     n = len(trace)
     chunk = 1 << 18
     t = trace.t
@@ -163,52 +165,45 @@ def reference_write_trace(trace: Trace, sink: BinaryIO) -> None:
 
 
 def reference_read_trace(source: BinaryIO) -> Trace:
+    lines = source.read().split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()  # after the last LF
     ground_truth: Optional[int] = None
     ts: list[int] = []
     vcpus: list[int] = []
     gppns: list[int] = []
     writes: list[bool] = []
-    prev_t = None
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.decode("ascii", errors="replace").strip()
-        if not line:
+    for lineno, line in enumerate(lines, start=1):
+        if lineno == 1 and line.startswith(b"#"):
+            value = line[len(_WSS_SIDECAR):] if line.startswith(_WSS_SIDECAR) else b""
+            if value.startswith(b"-") and value[1:].isdigit():
+                raise TraceParseError("negative #wss sidecar value", lineno)
+            try:
+                ground_truth = int(value) if value.isdigit() else None
+            except ValueError:
+                pass
+            if ground_truth is None:
+                raise TraceParseError("bad #wss sidecar value", lineno)
             continue
-        if line.startswith("#"):
-            if lineno == 1 and line.startswith(_WSS_SIDECAR):
-                try:
-                    ground_truth = int(line[len(_WSS_SIDECAR):])
-                except ValueError:
-                    raise TraceParseError("bad #wss sidecar value", lineno) from None
-                if ground_truth < 0:
-                    raise TraceParseError("negative #wss sidecar value", lineno)
-            continue
-        parts = line.split(",")
+        parts = line.split(b",")
         if len(parts) != 4:
             raise TraceParseError(f"expected 4 fields, got {len(parts)}", lineno)
-        try:
-            t = int(parts[0])
-            vcpu = int(parts[1])
-            gppn = int(parts[2])
-        except ValueError:
-            raise TraceParseError("non-integer field", lineno) from None
-        op = parts[3]
-        if op == "W":
-            is_w = True
-        elif op == "R":
-            is_w = False
-        else:
+        if not all(part.isdigit() for part in parts[:3]):
+            raise TraceParseError("non-integer field", lineno)
+        op = parts[3].decode("ascii", errors="replace")
+        if op not in ("R", "W"):
             raise TraceParseError(f"bad op code {op!r} (expected R or W)", lineno)
-        if t < 0 or vcpu < 0 or gppn < 0:
-            raise TraceParseError("negative field", lineno)
-        if t > _INT64_MAX or gppn > _INT64_MAX or vcpu > _INT32_MAX:
+        if (len(parts[0]) > 19 or len(parts[1]) > 10 or len(parts[2]) > 19
+                or int(parts[0]) > _INT64_MAX or int(parts[1]) > _INT32_MAX
+                or int(parts[2]) > _INT64_MAX):
             raise TraceParseError("field out of range (t, gppn < 2^63; vcpu < 2^31)", lineno)
-        if prev_t is not None and t < prev_t:
+        t = int(parts[0])
+        if ts and t < ts[-1]:
             raise TraceParseError("timestamps must be non-decreasing", lineno)
-        prev_t = t
         ts.append(t)
-        vcpus.append(vcpu)
-        gppns.append(gppn)
-        writes.append(is_w)
+        vcpus.append(int(parts[1]))
+        gppns.append(int(parts[2]))
+        writes.append(op == "W")
     return Trace(
         np.array(ts, dtype=np.int64),
         np.array(vcpus, dtype=np.int32),

@@ -311,6 +311,26 @@ def test_run_trace_field_out_of_range_exit2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_run_crlf_trace_exit2(tmp_path, capsys):
+    # CRLF line endings were read before the reader took one grammar.
+    (tmp_path / "t.csv").write_bytes(b"0,0,1,R\r\n5,0,2,W\r\n")
+    scn = tmp_path / "s.scn"
+    scn.write_text("workload.trace = t.csv\n")
+    assert main(["run", str(scn)]) == 2
+    assert "line 1: bad op code" in capsys.readouterr().err
+
+
+def test_trace_page_past_vmware_range_exit1(tmp_path, capsys):
+    # Page 2^63 - 1 makes a 2^63-page allocation, which the sampling baseline
+    # cannot draw from: compare used to end in an OverflowError traceback.
+    (tmp_path / "big.csv").write_text("0,0,9223372036854775807,R\n100,0,5,W\n")
+    scn = tmp_path / "s.scn"
+    scn.write_text("workload.trace = big.csv\n")
+    assert main(["compare", str(scn)]) == 1
+    assert "vm_pages" in capsys.readouterr().err
+    assert main(["run", str(scn)]) == 0
+
+
 def test_compare_rows(scn, capsys):
     assert main(["compare", scn]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

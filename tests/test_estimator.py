@@ -240,6 +240,13 @@ def test_vmware_sample_larger_than_allocation():
         estimate_vmware(tr, 50, params(), VmwareParams(sample_size=100))
 
 
+@pytest.mark.parametrize("allocated", [0, 2**63])
+def test_vmware_allocation_bounded(allocated):
+    # 2^63 pages used to end in an OverflowError from rng.choice.
+    with pytest.raises(ValidationError, match=r"^allocated_pages: must be within 1\.\.2\^63-1$"):
+        estimate_vmware(_uniform_trace(10, 2), allocated, params(), VmwareParams(sample_size=5))
+
+
 def test_vmware_sample_size_bounded():
     # 2^31 samples used to ask numpy for a 16 GiB block; the bound is checked
     # before anything is drawn.

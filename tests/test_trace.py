@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
@@ -232,6 +233,7 @@ def test_trace_constructor_accepts_full_int64_span():
         ([0, 5], [0, 2**31], None, "vcpu: values do not fit int32"),
         ([0, 5], [0, 2**32], None, "vcpu: values do not fit int32"),
         ([0, 0.5], [0, 0], None, "t: values do not fit int64"),
+        ([0, 2**70], [0, 0], None, "t: values do not fit int64"),
     ],
 )
 def test_trace_constructor_refuses_what_files_cannot_carry(t, vcpu, wss, match):
@@ -241,6 +243,39 @@ def test_trace_constructor_refuses_what_files_cannot_carry(t, vcpu, wss, match):
     with pytest.raises(ValidationError, match=match):
         Trace(np.array(t), np.array(vcpu), np.array([1, 2]), np.zeros(2, dtype=bool),
               ground_truth_wss_pages=wss)
+
+
+def test_trace_constructor_refuses_gppn_past_int64():
+    # gppn = 2^64, like t = 2^70 above, used to raise OverflowError from numpy's cast.
+    with pytest.raises(ValidationError, match="gppn: values do not fit int64"):
+        Trace(np.array([0, 5]), np.array([0, 0]), [1, 2**64], np.zeros(2, dtype=bool))
+
+
+# Forms the grammar refuses, each named by its 1-based line.
+REFUSED = [
+    (b"0,0,1,R\r\n", "line 1: bad op code 'R\\r'"),
+    (b"0,0,1,R\n\n5,0,2,W\n", "line 2: expected 4 fields, got 1"),
+    (b"#wss=3\n0,0,1,R\n# note\n", "line 3: expected 4 fields, got 1"),
+    (b"0,0,1,R\n+5,0,2,W\n", "line 2: non-integer field"),
+    (b"0,0,1,R\n5,-1,2,W\n", "line 2: non-integer field"),
+    (b"0,0,1,R\n5,0, 2,W\n", "line 2: non-integer field"),
+    (b"0,0,1,R\n5,0,2 ,W\n", "line 2: non-integer field"),
+    (b"0,0,1_000,R\n", "line 1: non-integer field"),
+    (b"0,0,1,R\n" + b"0" * 19 + b"5,0,2,W\n", "line 2: field out of range"),
+    (b"0,0,1,R\n5,00000000003,2,W\n", "line 2: field out of range"),
+    (b"0,0,1,R\n5,0," + b"0" * 20 + b",W\n", "line 2: field out of range"),
+    (b"#note\n0,0,1,R\n", "line 1: bad #wss sidecar value"),
+    (b"#wss=+3\n0,0,1,R\n", "line 1: bad #wss sidecar value"),
+    (b"#wss= 3\n0,0,1,R\n", "line 1: bad #wss sidecar value"),
+    (b"#wss=3\r\n0,0,1,R\n", "line 1: bad #wss sidecar value"),
+    (b"#wss=\n0,0,1,R\n", "line 1: bad #wss sidecar value"),
+]
+
+
+@pytest.mark.parametrize("data,match", REFUSED)
+def test_refused_forms_name_their_line(data, match):
+    with pytest.raises(TraceParseError, match=re.escape(match)):
+        read_trace(io.BytesIO(data))
 
 
 @st.composite
@@ -309,9 +344,10 @@ def test_access_count_bounded(pattern, cold_prefix):
 # -- array reader and writer against the per-line reference -------------------
 
 BIG = [0, 1, 2**31 - 1, 2**31, 10**17, 10**18 - 1, 10**18, 2**63 - 1]
-# Field edits. Most make a field the array reader refuses and the per-line
-# parser may still accept (signs, spaces, '_', 19 digits); the rest are edge
-# values both take (leading zeros, 18 digits, 2^31 - 1).
+# Field edits. Most make a line that breaks the grammar (signs, spaces, '_',
+# 20 digits, values past the column's range), so most edited files give
+# errors; the rest are edge values the grammar takes (leading zeros, 18 and
+# 19 digits, 2^31 - 1).
 FIELD_EDITS = [
     lambda f: "+" + f, lambda f: "-" + f, lambda f: " " + f, lambda f: f + " ",
     lambda f: f[:1] + "_" + f[1:], lambda f: "00" + f, lambda f: "", lambda f: "x",
@@ -409,19 +445,21 @@ def test_write_trace_matches_per_line_reference(tr, chunk):
 
 
 def test_canonical_file_takes_array_path(monkeypatch):
-    # The differential test above holds as well if the array reader refuses
-    # everything; this pins that canonical files never reach the per-line parser.
+    # The differential test above holds as well if the array checks refuse
+    # everything; this pins that written files never reach the line checks.
     tr = generate(WorkloadSpec(n_pages=50, pattern=Pattern.WRITE_INTENSITY, wi=40, d_iters=3,
                                inter_access_gap_ns=10**15))
     big = Trace(np.array([0, 10**18 - 1]), np.array([2**31 - 1, 0]),
                 np.array([10**18 - 1, 0]), np.array([True, False]))
+    largest = Trace(np.array([10**18, 2**63 - 1]), np.array([0, 0]),
+                    np.array([2**63 - 1, 10**18]), np.array([False, True]))
 
-    def refuse(source):
-        raise AssertionError("canonical stream reached the per-line parser")
+    def refuse(lines, first_lineno, prev_t):
+        raise AssertionError("a written stream reached the line checks")
 
-    monkeypatch.setattr(trace_mod, "_read_lines", refuse)
+    monkeypatch.setattr(trace_mod, "_first_error", refuse)
     monkeypatch.setattr(trace_mod, "_CHUNK", 7)
-    for expected in (tr, big):
+    for expected in (tr, big, largest):
         buf = io.BytesIO()
         write_trace(expected, buf)
         buf.seek(0)
