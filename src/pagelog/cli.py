@@ -102,8 +102,6 @@ def cmd_compare(args) -> int:
 
 def cmd_dist(args) -> int:
     scenario = load_scenario(args.scenario)
-    if scenario.tracking.mode not in NATIVE:
-        raise ValidationError("mode: dist requires tracking mode pml or paml")
     obs = run(scenario).observations
     column = obs[NATIVE[scenario.tracking.mode][1]]
     converged_index = estimate_from_series(column, scenario.estimator).converged_index

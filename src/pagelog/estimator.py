@@ -208,22 +208,22 @@ def estimate_vmware(
 
     # Each block of periods draws its samples in period order, as one
     # rng.choice per period, and counts every period's faulted pages with one
-    # isin over (period, page) keys. Pages of the trace beyond the allocation
-    # get keys of their own; accesses go in chunks, which bound temporaries.
+    # isin over (period, page) keys. No sample lies beyond the allocation, so
+    # only accesses inside it are keyed; accesses go in chunks, which bound
+    # temporaries.
     # A block's int64 sample keys fill at most _CHUNK bytes: blocks of _CHUNK
     # keys (2 MiB) raised glibc's mmap threshold, and the next trace read then
     # faulted more pages.
     rng = np.random.default_rng(seed)
     n = max(n_periods, 1)
-    stride = max(allocated_pages, trace.max_gppn + 1)
-    block = max(1, min(trace_mod._CHUNK // 8 // sample_size, trace_mod._INT64_MAX // stride))
+    block = max(1, min(trace_mod._CHUNK // 8 // sample_size, trace_mod._INT64_MAX // allocated_pages))
     faulted = np.empty(n, dtype=np.int64)
     for k in range(0, n, block):
         b = min(block, n - k)
         sampled = np.empty((b, sample_size), dtype=np.int64)
         for row in sampled:
             row[:] = rng.choice(allocated_pages, size=sample_size, replace=False)
-        sampled += np.arange(0, b * stride, stride, dtype=np.int64)[:, None]
+        sampled += np.arange(0, b * allocated_pages, allocated_pages, dtype=np.int64)[:, None]
         start = t0 + k * period_ns
         # With no completed period, the open one runs up to until_ns inclusive.
         end = start + b * period_ns if n_periods > 0 else until_ns + 1
@@ -231,7 +231,8 @@ def estimate_vmware(
         hit = np.zeros(sampled.shape, dtype=bool)
         for a in range(lo, hi, trace_mod._CHUNK):
             z = min(a + trace_mod._CHUNK, hi)
-            keys = (t[a:z] - start) // period_ns * stride + g[a:z]
+            inside = g[a:z] < allocated_pages
+            keys = (t[a:z][inside] - start) // period_ns * allocated_pages + g[a:z][inside]
             hit |= np.isin(sampled, keys)
         faulted[k:k + b] = hit.sum(axis=1)
     per_period = [round(f / sample_size * allocated_pages) for f in faulted.tolist()]

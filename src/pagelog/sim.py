@@ -346,7 +346,7 @@ def _checked(scenario: Scenario, trace: Optional[Trace]) -> tuple:
             f"{allocated}-page allocation"
         )
     n_obs = trace.span_ns // scenario.estimator.mu_ns
-    if scenario.tracking.mode is not TrackingMode.OFF and n_obs > MAX_OBSERVATIONS:
+    if n_obs > MAX_OBSERVATIONS:
         raise ValidationError(
             f"estimator.mu_s: {scenario.estimator.mu_s!r} s needs {n_obs} observations over the "
             f"trace's span, more than {MAX_OBSERVATIONS}"
@@ -361,26 +361,20 @@ def run(scenario: Scenario, trace: Optional[Trace] = None) -> SimReport:
     matches what the scenario would produce.
     """
     trace, allocated = _checked(scenario, trace)
-    codes = None if scenario.tracking.mode is TrackingMode.OFF else walk_codes(trace, scenario.tlb)
-    return _report(scenario, trace, allocated, codes)
+    return _report(scenario, trace, allocated, walk_codes(trace, scenario.tlb))
 
 
-def _report(scenario: Scenario, trace: Trace, allocated: int,
-            codes: Optional[np.ndarray]) -> SimReport:
+def _report(scenario: Scenario, trace: Trace, allocated: int, codes: np.ndarray) -> SimReport:
     """Run the event loop and the enabled estimators over a checked trace and its walk codes."""
     mode = scenario.tracking.mode
     params = scenario.estimator
     enabled = scenario.estimators_enabled
 
-    if mode is TrackingMode.OFF:
-        out = _EngineOutput(0, {}, CumulativeLog(params.tau),
-                            np.recarray(0, dtype=OBS_DTYPE), 0)
-    else:
-        out = _simulate(trace, codes, scenario.tracking, params)
+    out = _simulate(trace, codes, scenario.tracking, params)
 
     estimates: dict[str, WssEstimate] = {}
     native: Optional[WssEstimate] = None
-    name, column = NATIVE.get(mode, (None, None))
+    name, column = NATIVE[mode]
     if name in enabled:
         native = estimates[name] = estimate_from_series(out.observations[column], params)
     if ESTIMATOR_ORACLE in enabled:
@@ -582,9 +576,7 @@ def parse_scenario_text(text: str, name: str = "scenario", base_dir: Optional[Pa
     workload = None if spec is None else WorkloadSpec(**{"seed": seed, **spec})
     tracking = TrackingConfig(**tracking)
     if estimators_value is None:
-        enabled = {ESTIMATOR_ORACLE}
-        if tracking.mode in NATIVE:
-            enabled.add(NATIVE[tracking.mode][0])
+        enabled = {ESTIMATOR_ORACLE, NATIVE[tracking.mode][0]}
     else:
         enabled = {e.strip().lower() for e in estimators_value.split(",") if e.strip()}
 

@@ -26,9 +26,9 @@ stream in blocks of at most ``_CHUNK`` rows, in pass order.
 
 File format: CSV text, one access per line, ``t,vcpu,gppn,R|W``, no header.
 An optional first line ``#wss=<digits>`` carries the generator's ground-truth
-working set size. Fields are ASCII digits: 1 to 19, below 2^63, in ``t`` and
-``gppn``; 1 to 10, below 2^31, in ``vcpu``; ``t`` does not decrease. Each
-line ends in LF; the last may omit it.
+working set size. Fields are ASCII digits: 1 to 19, below 2^63, in ``t``,
+``gppn`` and ``#wss``; 1 to 10, below 2^31, in ``vcpu``; ``t`` does not
+decrease. Each line ends in LF; the last may omit it.
 
 The writer formats whole columns at once; the reader parses chunks of lines
 as arrays and names the first line that breaks the grammar.
@@ -127,9 +127,10 @@ class Trace:
     Columns: ``t`` (int64 ns, non-decreasing), ``vcpu`` (int32), ``gppn``
     (int64) and ``is_write`` (bool). ``ground_truth_wss_pages`` carries the
     generator's known hot-page count, or None for traces read from files
-    without the sidecar line. The constructor refuses negative values and
-    integers that change in the cast to their column's dtype, which the file
-    format cannot carry: every trace round-trips through a file.
+    without the sidecar line. The constructor refuses negative values, a
+    ground truth above 2^63-1 and integers that change in the cast to their
+    column's dtype, which the file format cannot carry: every trace
+    round-trips through a file.
     """
 
     __slots__ = ("t", "vcpu", "gppn", "is_write", "ground_truth_wss_pages")
@@ -159,6 +160,8 @@ class Trace:
             raise ValidationError("gppn: must be non-negative")
         if ground_truth_wss_pages is not None and ground_truth_wss_pages < 0:
             raise ValidationError("ground_truth_wss_pages: must be non-negative")
+        if ground_truth_wss_pages is not None and ground_truth_wss_pages > _INT64_MAX:
+            raise ValidationError("ground_truth_wss_pages: must be at most 2^63-1")
         self.ground_truth_wss_pages = ground_truth_wss_pages
 
     def __len__(self) -> int:
@@ -198,7 +201,8 @@ def _integer_column(name: str, values, dtype) -> np.ndarray:
     """``values`` as a ``dtype`` array; refuses a cast that changes a value."""
     values = np.asarray(values)
     try:
-        column = np.asarray(values, dtype=dtype)
+        with np.errstate(invalid="ignore"):  # a value the cast changes is refused below
+            column = np.asarray(values, dtype=dtype)
     except OverflowError:  # Python ints past the int64 range
         raise ValidationError(f"{name}: values do not fit {np.dtype(dtype).name}") from None
     if values.dtype != dtype and not np.array_equal(column, values):
@@ -335,12 +339,9 @@ def read_trace(source: BinaryIO) -> Trace:
         value = data[len(_WSS_SIDECAR):ends[0]] if data.startswith(_WSS_SIDECAR) else b""
         if value[:1] == b"-" and value[1:].isdigit():
             raise TraceParseError("negative #wss sidecar value", 1)
-        try:
-            ground_truth = int(value) if value.isdigit() else None
-        except ValueError:  # more digits than int() converts
-            pass
-        if ground_truth is None:
+        if not (value.isdigit() and len(value) <= 19 and int(value) <= _INT64_MAX):
             raise TraceParseError("bad #wss sidecar value", 1)
+        ground_truth = int(value)
         start = int(ends[0]) + 1
         ends = ends[1:]
         first_lineno = 2

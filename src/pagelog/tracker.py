@@ -33,7 +33,6 @@ MAX_BUFFER_ENTRIES = 65536
 
 
 class TrackingMode(Enum):
-    OFF = "off"
     PML = "pml"
     PAML = "paml"
 
@@ -99,8 +98,7 @@ class Tracker:
         On OBS_FULL the index is -1 and ``round`` is held until the handler
         folds it and calls :meth:`reset_index`.
         """
-        mode = self._mode
-        if mode is TrackingMode.PAML:
+        if self._mode is TrackingMode.PAML:
             i = self.index
             if i > 0:
                 self.round.append(gppn)
@@ -114,23 +112,21 @@ class Tracker:
                 return OBS_FULL
             self.missed_gpas += 1
             return OBS_DROPPED
-        if mode is TrackingMode.PML:
-            if not dirty_set:
-                return OBS_IGNORED
-            i = self.index
-            if i < 0:
-                raise ProtocolError("observe_raw: pml round held, the VM is stalled until it is folded")
-            self.round.append(gppn)
-            self.logged += 1
-            if i > 0:
-                self.index = i - 1
-                return OBS_LOGGED
-            # Synchronous exit on the VM's CPU: the VM stalls until the fold.
-            self.index = -1
-            self.full_events += 1
-            self.vm_stall_ns += self.config.vmexit_cost_ns
-            return OBS_FULL
-        raise ProtocolError("observe_raw: tracking mode is off")
+        if not dirty_set:
+            return OBS_IGNORED
+        i = self.index
+        if i < 0:
+            raise ProtocolError("observe_raw: pml round held, the VM is stalled until it is folded")
+        self.round.append(gppn)
+        self.logged += 1
+        if i > 0:
+            self.index = i - 1
+            return OBS_LOGGED
+        # Synchronous exit on the VM's CPU: the VM stalls until the fold.
+        self.index = -1
+        self.full_events += 1
+        self.vm_stall_ns += self.config.vmexit_cost_ns
+        return OBS_FULL
 
     def reset_index(self) -> None:
         """Start a new round once a held one has been folded."""

@@ -178,12 +178,9 @@ def reference_read_trace(source: BinaryIO) -> Trace:
             value = line[len(_WSS_SIDECAR):] if line.startswith(_WSS_SIDECAR) else b""
             if value.startswith(b"-") and value[1:].isdigit():
                 raise TraceParseError("negative #wss sidecar value", lineno)
-            try:
-                ground_truth = int(value) if value.isdigit() else None
-            except ValueError:
-                pass
-            if ground_truth is None:
+            if not value.isdigit() or len(value) > 19 or int(value) > _INT64_MAX:
                 raise TraceParseError("bad #wss sidecar value", lineno)
+            ground_truth = int(value)
             continue
         parts = line.split(b",")
         if len(parts) != 4:

@@ -256,9 +256,11 @@ def test_run_invalid_scenario_exit1(tmp_path, capsys):
       b"workload.inter_access_gap_ns = 9223372036854775808\n", "workload.inter_access_gap_ns"),
      (b"workload.pattern = rwrw\nworkload.n_pages = 1000000000000\n", "workload.n_pages"),
      (b"workload.pattern = rwrw\nworkload.n_pages = 8\nworkload.d_iters = 1000000000000\n",
-      "workload.n_pages")],
+      "workload.n_pages"),
+     (b"workload.pattern = rwrw\nworkload.n_pages = 8\ntracking.mode = off\n",
+      "mode: unknown mode 'off' (expected one of pml, paml)")],
     ids=["not-utf8", "nul-in-trace-path", "removed-tlb-replacement", "gap-past-int64",
-         "pages-past-max-accesses", "passes-past-max-accesses"],
+         "pages-past-max-accesses", "passes-past-max-accesses", "removed-mode-off"],
 )
 def test_run_rejected_scenario_exit1(tmp_path, capsys, data, named):
     # not-utf8, nul-in-trace-path and gap-past-int64 used to end in a

@@ -350,6 +350,16 @@ def test_vmware_huge_allocation_matches_reference(allocated):
     assert len(est.observations) == 18
 
 
+def test_vmware_page_past_a_small_allocation_matches_reference():
+    # Page 2^63-1 lies beyond the 10-page allocation: it takes no key, and the
+    # keys of the allocation's pages still fit int64. Seed 1 samples page 5
+    # in the first period.
+    tr = Trace(t=[0, 100], vcpu=[0, 0], gppn=[5, 2**63 - 1], is_write=[False, False])
+    est = estimate_vmware(tr, 10, params(), VmwareParams(2, 1e-8), seed=1)
+    assert (est.observations, est.wss_pages) == reference_vmware(tr, 10, 2, 1e-8, 1)
+    assert est.observations == (5,) + (0,) * 9
+
+
 # -- kernel footprint probe ------------------------------------------------------
 
 

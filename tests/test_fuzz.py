@@ -96,8 +96,8 @@ INT_KEYS = ["seed", "workload.seed", "vm_pages", "vmware.sample_size", "tracking
 
 @st.composite
 def runnable_scenarios(draw):
-    mode = draw(st.sampled_from(["paml", "pml", "off"]))
-    native = {"paml": ["prl"], "pml": ["pml"], "off": []}[mode]
+    mode = draw(st.sampled_from(["paml", "pml"]))
+    native = {"paml": ["prl"], "pml": ["pml"]}[mode]
     mu_ns = draw(st.integers(200, 5000))
     lines = [
         f"workload.pattern = {draw(st.sampled_from(['wi', 'rwrw', 'rrww', 'wwrr']))}",

@@ -338,18 +338,19 @@ def test_multi_vcpu_trace_merges_into_one_log():
     assert summed == (rep.full_events, rep.missed_gpas, rep.logged, rep.vm_stall_ns)
 
 
-def test_mode_off_runs_only_offline_estimators():
-    sc = Scenario(
+def test_oracle_and_vmware_alone_agree_in_both_modes():
+    # What an off run reported: with no native estimator, vmware runs to the
+    # last access, and neither estimate depends on the logging mode.
+    reports = [run(Scenario(
         workload=WorkloadSpec(n_pages=100, pattern=Pattern.RWRW, d_iters=2),
-        tracking=TrackingConfig(mode=TrackingMode.OFF),
+        tracking=TrackingConfig(mode=mode),
         estimator=EstimatorParams(tau=4, mu_s=1e-5, omega_s=4e-5),
         estimators_enabled=frozenset({ESTIMATOR_ORACLE, ESTIMATOR_VMWARE}),
-    )
-    rep = run(sc)
-    assert rep.walks == 0
-    assert rep.full_events == 0
-    assert rep.estimates[ESTIMATOR_ORACLE].wss_pages == 100
-    assert ESTIMATOR_VMWARE in rep.estimates
+        vmware=VmwareParams(sample_size=10, period_s=2e-6),
+    )) for mode in (TrackingMode.PML, TrackingMode.PAML)]
+    assert reports[0].estimates == reports[1].estimates
+    assert reports[0].estimates[ESTIMATOR_ORACLE].wss_pages == 100
+    assert len(reports[0].estimates[ESTIMATOR_VMWARE].observations) == reports[0].span_ns // 2000
 
 
 def test_estimator_requires_matching_mode():
@@ -575,6 +576,9 @@ def test_parse_rejects_values_the_run_cannot_take(line, key):
 def test_parse_bad_values():
     with pytest.raises(ValidationError, match="tracking.mode|mode"):
         parse_scenario_text("workload.pattern = rwrw\nworkload.n_pages = 8\ntracking.mode = turbo\n")
+    # A third mode, off, used to skip the walk stage and the event loop.
+    with pytest.raises(ValidationError, match=r"^mode: unknown mode 'off' \(expected one of pml, paml\)$"):
+        parse_scenario_text("workload.pattern = rwrw\nworkload.n_pages = 8\ntracking.mode = off\n")
     with pytest.raises(ValidationError, match="boolean"):
         parse_scenario_text("workload.pattern = rwrw\nworkload.n_pages = 8\nworkload.cold_prefix = maybe\n")
     with pytest.raises(ValidationError, match="integer"):

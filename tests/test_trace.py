@@ -245,10 +245,31 @@ def test_trace_constructor_refuses_what_files_cannot_carry(t, vcpu, wss, match):
               ground_truth_wss_pages=wss)
 
 
+@pytest.mark.filterwarnings("error")
 def test_trace_constructor_refuses_gppn_past_int64():
-    # gppn = 2^64, like t = 2^70 above, used to raise OverflowError from numpy's cast.
-    with pytest.raises(ValidationError, match="gppn: values do not fit int64"):
-        Trace(np.array([0, 5]), np.array([0, 0]), [1, 2**64], np.zeros(2, dtype=bool))
+    # gppn = 2^64, like t = 2^70 above, used to raise OverflowError from numpy's
+    # cast. [1, 2^63] makes a float64 column, whose cast used to warn first.
+    for gppn in ([1, 2**64], [1, 2**63]):
+        with pytest.raises(ValidationError, match="gppn: values do not fit int64"):
+            Trace(np.array([0, 5]), np.array([0, 0]), gppn, np.zeros(2, dtype=bool))
+
+
+def test_wss_sidecar_is_bounded_by_int64():
+    # Larger values used to be accepted, then write_trace could not write one
+    # of more than 4,300 digits.
+    tr = Trace(np.array([0]), np.array([0]), np.array([1]), np.array([True]),
+               ground_truth_wss_pages=2**63 - 1)
+    buf = io.BytesIO()
+    write_trace(tr, buf)
+    assert buf.getvalue() == b"#wss=9223372036854775807\n0,0,1,W\n"
+    buf.seek(0)
+    assert read_trace(buf) == tr
+    for value, digits in ((2**63, b"9223372036854775808"), (10**5000, b"1" + b"0" * 5000)):
+        with pytest.raises(ValidationError, match="ground_truth_wss_pages: must be at most 2"):
+            Trace(np.array([0]), np.array([0]), np.array([1]), np.array([True]),
+                  ground_truth_wss_pages=value)
+        with pytest.raises(TraceParseError, match="line 1: bad #wss sidecar value"):
+            read_trace(io.BytesIO(b"#wss=" + digits + b"\n0,0,1,W\n"))
 
 
 # Forms the grammar refuses, each named by its 1-based line.
@@ -357,7 +378,8 @@ FIELD_EDITS = [
 ]
 LINE_EDITS = ["", "\r", "#c", "#wss=5", " ", "0,0,0", "0,0,0,R,", "1,2,3,R\r"]
 SIDECARS = [None, "#wss=12", "#wss=0", "#wss=007", "#wss=", "#wss=-5", "#wss= 7", "#wss=+3",
-            "#wss=" + "9" * 18, "#wss=" + "9" * 19, "#wss=x", "#wss=5\r", "#note"]
+            "#wss=" + "9" * 18, "#wss=" + "9" * 19, "#wss=9223372036854775807",
+            "#wss=9223372036854775808", "#wss=" + "0" * 20, "#wss=x", "#wss=5\r", "#note"]
 
 
 @st.composite

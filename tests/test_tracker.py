@@ -154,12 +154,6 @@ def test_pml_log_set_subset_of_paml():
     assert logged[TrackingMode.PML] <= logged[TrackingMode.PAML]
 
 
-def test_observe_off_is_an_error():
-    tr = Tracker(TrackingConfig(mode=TrackingMode.OFF))
-    with pytest.raises(ProtocolError, match="off"):
-        tr.observe_raw(1, False)
-
-
 def test_drain_residual():
     tr = paml(entries=8)
     for i in range(3):
