@@ -46,8 +46,6 @@ def _resolve_out(path: str) -> Path:
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         path = _resolve_out(out)
         path.parent.mkdir(parents=True, exist_ok=True)

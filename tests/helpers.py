@@ -1,13 +1,9 @@
 """Shared test utilities.
 
-``reference_run`` replays a trace by composing the public per-access APIs
-one access at a time, with non-incremental hot counting. It fires due
-handler completions and observations before every access, where the engine
-fires them before walks only, so it is an independent route to the same
-semantics as ``pagelog.sim.run``. It is used to cross-check the engine on
-small scenarios, and to expose per-walk outcomes (e.g. which pages were
-dropped) that the engine does not report. Like the engine, it returns its
-trackers by vCPU id, so ``counters`` compares each vCPU's counters.
+``counters`` and ``fields`` read an engine run (``pagelog.sim._simulate``)
+under the names of ``spec.run``'s fields, so that a test compares the two
+field by field. ``tests/spec.py`` is the one reference model of a run.
+``small_traces`` lists every small trace for the exhaustive checks against it.
 
 ``reference_write_trace`` is the trace file writer as it was before trace
 I/O moved onto arrays: one formatted string per access. ``reference_read_trace``
@@ -27,118 +23,42 @@ period. ``estimate_vmware`` must give the same series and estimate.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import BinaryIO, Optional
 
 import numpy as np
 
 from pagelog.errors import TraceParseError, ValidationError
-from pagelog.estimator import MAX_VMWARE_PERIODS, EstimatorParams, whole_ns
-from pagelog.handler import CumulativeLog, batch_duration_ns, handle_full
-from pagelog.mmu import TLB_HIT, TLB_WALK_DIRTY, Tlb, TlbConfig
-from pagelog.tracker import (
-    OBS_DROPPED,
-    OBS_FULL,
-    Tracker,
-    TrackingConfig,
-    TrackingMode,
-)
+from pagelog.estimator import MAX_VMWARE_PERIODS, whole_ns
 from pagelog.trace import Pattern, Trace, WorkloadSpec
-
-
-def reference_run(trace: Trace, tracking: TrackingConfig, tlb_config: TlbConfig,
-                  params: EstimatorParams):
-    mode = tracking.mode
-    synchronous = mode is TrackingMode.PML
-    log = CumulativeLog(params.tau)
-    vcpus = sorted({int(v) for v in trace.vcpu.tolist()})
-    tlbs = {v: Tlb(tlb_config) for v in vcpus}
-    trackers = {v: Tracker(tracking) for v in vcpus}
-
-    mu = params.mu_ns
-    tau = params.tau
-    next_obs = (int(trace.t[0]) if len(trace) else 0) + mu
-    observations = []
-    pending: list[Tracker] = []
-    batch = None
-    busy_until = 0
-    walks = 0
-    dropped_pages: set[int] = set()
-
-    def hot_count():
-        return sum(1 for c in log.counts.values() if c >= tau)
-
-    def fire(now):
-        nonlocal batch, busy_until, next_obs
-        while True:
-            ct = busy_until if batch is not None else None
-            if (ct is None or ct >= now) and next_obs >= now:
-                return
-            if ct is not None and ct <= next_obs:
-                handle_full(batch, log)
-                batch = None
-                if pending:
-                    nb = pending[:]
-                    pending.clear()
-                    batch = nb
-                    busy_until = ct + batch_duration_ns(nb)
-            else:
-                if synchronous:
-                    for v in vcpus:
-                        res = trackers[v].drain_residual()
-                        if res:
-                            log.add_snapshot(res)
-                observations.append((next_obs, hot_count(), len(log.counts)))
-                next_obs += mu
-
-    for t, vcpu, gppn, is_write in zip(trace.t.tolist(), trace.vcpu.tolist(),
-                                       trace.gppn.tolist(), trace.is_write.tolist()):
-        fire(t)
-        code = tlbs[vcpu].lookup_raw(gppn, is_write)
-        if code == TLB_HIT:
-            continue
-        walks += 1
-        tracker = trackers[vcpu]
-        outcome = tracker.observe_raw(gppn, code == TLB_WALK_DIRTY)
-        if outcome == OBS_DROPPED:
-            dropped_pages.add(gppn)
-        elif outcome == OBS_FULL:
-            if synchronous:
-                handle_full((tracker,), log)
-            else:
-                pending.append(tracker)
-                if batch is None:
-                    batch = pending[:]
-                    pending.clear()
-                    busy_until = t + batch_duration_ns(batch)
-
-    end_t = int(trace.t[-1]) if len(trace) else 0
-    fire(end_t + 1)
-    while batch is not None:
-        handle_full(batch, log)
-        batch = None
-        if pending:
-            batch = pending[:]
-            pending.clear()
-    for v in vcpus:
-        res = trackers[v].drain_residual()
-        if res:
-            log.add_snapshot(res)
-    if len(trace):
-        observations.append((end_t, hot_count(), len(log.counts)))
-
-    return SimpleNamespace(
-        walks=walks,
-        trackers=trackers,
-        log=log,
-        observations=observations,
-        dropped_pages=dropped_pages,
-    )
 
 
 def counters(trackers: dict) -> dict:
     """``{vcpu: (full_events, missed_gpas, logged, vm_stall_ns)}`` of a run's trackers."""
     return {v: (t.full_events, t.missed_gpas, t.logged, t.vm_stall_ns) for v, t in trackers.items()}
+
+
+def fields(codes, out) -> dict:
+    """A run's walk codes and engine output, named as the fields of ``spec.run``."""
+    return {"codes": codes.tolist(), "walks": out.walks, "counters": counters(out.trackers),
+            "counts": out.log.counts, "log_total": out.log.total,
+            "handler_busy_ns": out.handler_busy_ns, "observations": out.observations.tolist()}
+
+
+def small_traces(max_len, n_pages, n_vcpus):
+    """Every non-empty trace of at most ``max_len`` accesses, names by first occurrence."""
+    found = []
+
+    def extend(trace, pages, vcpus):
+        if trace:
+            found.append(trace)
+        if len(trace) < max_len:
+            for v in range(min(vcpus + 1, n_vcpus)):
+                for p in range(min(pages + 1, n_pages)):
+                    for w in (False, True):
+                        extend(trace + [(v, p, w)], max(pages, p + 1), max(vcpus, v + 1))
+
+    extend([], 0, 0)
+    return found
 
 
 _WSS_SIDECAR = b"#wss="

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spec
 from pagelog.errors import ValidationError
 from pagelog.mmu import MAX_VCPUS, TLB_HIT, TLB_WALK, TLB_WALK_DIRTY, Tlb, TlbConfig, walk_codes
 from pagelog.trace import Trace
@@ -19,53 +20,21 @@ def test_repeat_access_hits():
     assert tlb.lookup_raw(5, READ) == TLB_HIT
 
 
-class _RefLruSets:
-    """Brute-force set-associative LRU model, recency kept as explicit lists."""
-
-    def __init__(self, entries, ways):
-        self.n_sets = entries // ways
-        self.ways = ways
-        self.sets = [[] for _ in range(self.n_sets)]
-        self.dirty = set()
-
-    def touch(self, gppn):
-        s = self.sets[gppn % self.n_sets]
-        hit = gppn in s
-        if hit:
-            s.remove(gppn)
-        elif len(s) == self.ways:
-            s.pop(0)
-        s.append(gppn)
-        return hit
-
-    def code(self, gppn, is_write):
-        """The expected ``lookup_raw`` code: a first write walks even when resident."""
-        hit = self.touch(gppn)
-        if is_write and gppn not in self.dirty:
-            self.dirty.add(gppn)
-            return TLB_WALK_DIRTY
-        return TLB_HIT if hit else TLB_WALK
-
-
 def test_lru_eviction_within_set():
     # Pages 1..65 on a 64-entry 4-way TLB: five of them land in page 1's set,
     # so page 1 is the LRU victim and re-accessing it misses.
     tlb = Tlb(TlbConfig(entries=64, ways=4))
-    ref = _RefLruSets(64, 4)
-    for p in range(1, 66):
-        tlb.lookup_raw(p, READ)
-        ref.touch(p)
-    assert ref.touch(1) is False
-    assert tlb.lookup_raw(1, READ) == TLB_WALK
+    pages = [*range(1, 66), 1]
+    codes = [tlb.lookup_raw(p, READ) for p in pages]
+    assert codes == spec.walk_codes([(0, p, READ) for p in pages], 16, 4)
+    assert codes[-1] == TLB_WALK
 
 
 def test_lru_model_agreement_random():
     rng = np.random.default_rng(2)
     tlb = Tlb(TlbConfig(entries=16, ways=4))
-    ref = _RefLruSets(16, 4)
-    for _ in range(4000):
-        p = int(rng.integers(0, 40))
-        assert (tlb.lookup_raw(p, READ) == TLB_HIT) == ref.touch(p)
+    pages = [int(rng.integers(0, 40)) for _ in range(4000)]
+    assert [tlb.lookup_raw(p, READ) for p in pages] == spec.walk_codes([(0, p, READ) for p in pages], 4, 4)
 
 
 def test_write_to_clean_resident_page_walks():
@@ -86,16 +55,12 @@ def test_dirty_persists_across_eviction():
 
 
 def test_capacity_and_partition_invariants():
-    # Agreeing code for code with a reference whose sets never hold more than
+    # Agreeing code for code with a spec whose sets never hold more than
     # `ways` pages means the TLB keeps to its capacity and its partition.
-    cfg = TlbConfig(entries=16, ways=4)
-    tlb = Tlb(cfg)
-    ref = _RefLruSets(cfg.entries, cfg.ways)
+    tlb = Tlb(TlbConfig(entries=16, ways=4))
     rng = np.random.default_rng(7)
-    for _ in range(5000):
-        p = int(rng.integers(0, 200))
-        is_write = bool(rng.integers(0, 2))
-        assert tlb.lookup_raw(p, is_write) == ref.code(p, is_write)
+    accesses = [(0, int(rng.integers(0, 200)), bool(rng.integers(0, 2))) for _ in range(5000)]
+    assert [tlb.lookup_raw(p, w) for _, p, w in accesses] == spec.walk_codes(accesses, 4, 4)
 
 
 def test_dirty_set_once_per_page_between_clears():

@@ -1,20 +1,22 @@
 import dataclasses
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import counters, reference_run
+import spec
+from helpers import fields
 
 from pagelog.errors import ValidationError
 from pagelog.estimator import EstimatorParams, VmwareParams
 from pagelog import sim
 from pagelog import trace as trace_mod
-from pagelog.mmu import TLB_HIT, Tlb, TlbConfig, walk_codes
+from pagelog.mmu import TlbConfig, walk_codes
 from pagelog.sim import (
     ESTIMATOR_ORACLE,
     ESTIMATOR_PML,
@@ -126,15 +128,31 @@ def test_conservation_and_final_drain():
     assert rep.log_total == rep.logged
 
 
-def test_engine_matches_reference_composition():
-    from pagelog.sim import _simulate
+def spec_run(trace, tracking, tlb, params):
+    """``spec.run`` over ``trace`` with a run's settings."""
+    accesses = list(zip(trace.t.tolist(), trace.vcpu.tolist(), trace.gppn.tolist(),
+                        trace.is_write.tolist()))
+    return spec.run(accesses, tracking.mode.value, tlb.n_sets, tlb.ways, tracking.buffer_entries,
+                    tracking.vmexit_cost_ns, tracking.handler_latency_per_entry_ns, params.tau,
+                    params.mu_ns)
 
+
+def assert_engine_matches_spec(trace, tracking, tlb, params):
+    """The walk stage and the event loop give ``spec.run``'s fields."""
+    codes = walk_codes(trace, tlb)
+    assert codes.dtype == np.int8
+    got = fields(codes, _simulate(trace, codes, tracking, params))
+    want = vars(spec_run(trace, tracking, tlb, params))
+    assert got == {name: want[name] for name in got}
+
+
+def test_engine_matches_reference_composition():
     rng = np.random.default_rng(17)
     patterns = list(Pattern)
     geometries = [(4, 1), (16, 4), (64, 4), (8, 8)]
     for trial in range(25):
         n = int(rng.integers(1, 260))
-        spec = WorkloadSpec(
+        workload = WorkloadSpec(
             n_pages=n,
             pattern=patterns[trial % 4],
             d_iters=int(rng.integers(1, 6)),
@@ -151,18 +169,12 @@ def test_engine_matches_reference_composition():
         )
         entries, ways = geometries[int(rng.integers(0, len(geometries)))]
         tlb = TlbConfig(entries=entries, ways=ways)
-        trace = generate(spec)
+        trace = generate(workload)
         span = max(trace.span_ns, 7)
         mu_ns = max(1, span // 7)
         params = EstimatorParams(tau=int(rng.integers(1, 6)), mu_s=mu_ns / 1e9,
                                  omega_s=3 * mu_ns / 1e9)
-        out = _simulate(trace, walk_codes(trace, tlb), tracking, params)
-        ref = reference_run(trace, tracking, tlb, params)
-        assert out.walks == ref.walks
-        assert counters(out.trackers) == counters(ref.trackers)
-        assert out.log.total == ref.log.total
-        assert out.log.counts == ref.log.counts
-        assert [(o.t_ns, o.hot_pages, o.distinct_pages) for o in out.observations] == ref.observations
+        assert_engine_matches_spec(trace, tracking, tlb, params)
 
 
 @st.composite
@@ -189,25 +201,22 @@ def multi_vcpu_runs(draw):
     return trace, tracking, TlbConfig(entries=entries, ways=ways), params
 
 
+# Three vCPUs fill their buffers at one instant, so two rounds are pending
+# when the first batch ends: the next batch must take both.
+THREE_PENDING = (
+    Trace(np.array([0, 0, 0, 0, 0, 0, 4]), np.array([0, 0, 1, 1, 2, 2, 0]), np.arange(7),
+          np.zeros(7, dtype=bool)),
+    TrackingConfig(mode=TrackingMode.PAML, buffer_entries=2, handler_latency_per_entry_ns=1),
+    TlbConfig(entries=4, ways=1),
+    EstimatorParams(tau=1, mu_s=1e-9, omega_s=1e-9),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(multi_vcpu_runs())
+@example(THREE_PENDING)
 def test_multi_vcpu_engine_matches_reference(case):
-    from pagelog.sim import _simulate
-
-    trace, tracking, tlb, params = case
-    out = _simulate(trace, walk_codes(trace, tlb), tracking, params)
-    ref = reference_run(trace, tracking, tlb, params)
-    assert out.walks == ref.walks
-    assert counters(out.trackers) == counters(ref.trackers)
-    assert out.log.counts == ref.log.counts
-    assert [(o.t_ns, o.hot_pages, o.distinct_pages) for o in out.observations] == ref.observations
-
-
-def _per_access_codes(trace, tlb_config):
-    """Walk codes by composing ``Tlb.lookup_raw`` one access at a time, in trace order."""
-    tlbs = {}
-    return [tlbs.setdefault(v, Tlb(tlb_config)).lookup_raw(g, w)
-            for v, g, w in zip(trace.vcpu.tolist(), trace.gppn.tolist(), trace.is_write.tolist())]
+    assert_engine_matches_spec(*case)
 
 
 @settings(max_examples=100, deadline=None)
@@ -216,18 +225,9 @@ def test_chunk_seams_match_reference(case, chunk):
     # Both stages work on chunks of the trace. The TLBs and the event loop's
     # state must carry across every seam, so tiny chunks put many seams
     # between a page's accesses and between a round's entries.
-    trace, tracking, tlb, params = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trace_mod, "_CHUNK", chunk)
-        codes = walk_codes(trace, tlb)
-        out = sim._simulate(trace, codes, tracking, params)
-    assert codes.dtype == np.int8
-    assert codes.tolist() == _per_access_codes(trace, tlb)
-    ref = reference_run(trace, tracking, tlb, params)
-    assert out.walks == ref.walks
-    assert counters(out.trackers) == counters(ref.trackers)
-    assert out.log.counts == ref.log.counts
-    assert [(o.t_ns, o.hot_pages, o.distinct_pages) for o in out.observations] == ref.observations
+        assert_engine_matches_spec(*case)
 
 
 @settings(max_examples=150, deadline=None)
@@ -283,11 +283,11 @@ def test_dropped_hot_pages_reappear_with_enough_repetition():
                               handler_latency_per_entry_ns=50)
     params = EstimatorParams(tau=50, mu_s=1e-3, omega_s=4e-3)
     trace = generate(wl)
-    ref = reference_run(trace, tracking, TlbConfig(), params)
-    assert ref.trackers[0].missed_gpas > 0
+    ref = spec_run(trace, tracking, TlbConfig(), params)
+    assert ref.counters[0][1] > 0  # missed walks
     assert len(ref.dropped_pages) > 0
     for page in ref.dropped_pages:
-        assert ref.log.counts[page] >= params.tau
+        assert ref.counts[page] >= params.tau
 
 
 def test_prl_equals_walk_oracle_when_nothing_is_missed():
@@ -300,11 +300,8 @@ def test_prl_equals_walk_oracle_when_nothing_is_missed():
     assert rep.missed_gpas == 0
 
     trace = generate(wl)
-    tlb = Tlb(TlbConfig())
-    walk_counts: dict[int, int] = {}
-    for gppn, is_write in zip(trace.gppn.tolist(), trace.is_write.tolist()):
-        if tlb.lookup_raw(gppn, is_write) != TLB_HIT:
-            walk_counts[gppn] = walk_counts.get(gppn, 0) + 1
+    codes = spec_run(trace, sc.tracking, sc.tlb, sc.estimator).codes
+    walk_counts = Counter(g for g, code in zip(trace.gppn.tolist(), codes) if code != spec.HIT)
     walk_oracle = sum(1 for c in walk_counts.values() if c >= 50)
 
     est = rep.estimates[ESTIMATOR_PRL]
@@ -333,8 +330,8 @@ def test_multi_vcpu_trace_merges_into_one_log():
     assert rep.walks > 0
     assert rep.logged + rep.missed_gpas + rep.full_events == rep.walks
     assert rep.log_distinct == 200
-    ref = reference_run(trace, tracking, TlbConfig(), params)
-    summed = tuple(map(sum, zip(*counters(ref.trackers).values())))
+    ref = spec_run(trace, tracking, TlbConfig(), params)
+    summed = tuple(map(sum, zip(*ref.counters.values())))
     assert summed == (rep.full_events, rep.missed_gpas, rep.logged, rep.vm_stall_ns)
 
 

@@ -9,25 +9,9 @@ import numpy as np
 import pytest
 
 import spec
+from helpers import small_traces
 from pagelog.mmu import MAX_VCPUS, TlbConfig, walk_codes
 from pagelog.trace import Trace
-
-
-def small_traces(max_len, n_pages, n_vcpus):
-    """Every non-empty trace of at most ``max_len`` accesses, names by first occurrence."""
-    found = []
-
-    def extend(trace, pages, vcpus):
-        if trace:
-            found.append(trace)
-        if len(trace) < max_len:
-            for v in range(min(vcpus + 1, n_vcpus)):
-                for p in range(min(pages + 1, n_pages)):
-                    for w in (False, True):
-                        extend(trace + [(v, p, w)], max(pages, p + 1), max(vcpus, v + 1))
-
-    extend([], 0, 0)
-    return found
 
 
 @pytest.mark.parametrize("n_vcpus,max_len,count", [(1, 6, 9394), (2, 4, 1970)])
