@@ -157,11 +157,14 @@ def estimate_from_series(dist: np.ndarray, params: EstimatorParams) -> WssEstima
 
 def estimate_oracle(trace: Trace, params: EstimatorParams) -> WssEstimate:
     """Ground truth from the raw trace: pages referenced at least tau times."""
-    if len(trace) == 0:
-        wss = 0
+    if trace.max_gppn < len(trace):
+        # Dense page numbers, an empty trace among them: a table no longer
+        # than the trace, and no sorted copy of it. Unreferenced pages count
+        # 0 < tau.
+        counts = np.bincount(trace.gppn)
     else:
         _, counts = np.unique(trace.gppn, return_counts=True)
-        wss = int((counts >= params.tau).sum())
+    wss = int((counts >= params.tau).sum())
     return WssEstimate(
         wss_pages=wss,
         m_bytes=_m_bytes(wss, params),

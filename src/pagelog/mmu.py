@@ -77,22 +77,20 @@ class Tlb:
         Walk outcomes install (or refresh) the translation.
         """
         s = self._sets[gppn % self._n_sets]
-        if is_write and gppn not in self._dirty:
-            # Dirty-flag update: walk regardless of residency.
-            self._dirty.add(gppn)
-            if gppn in s:
-                s.move_to_end(gppn)
-            else:
-                if len(s) == self._ways:
-                    s.popitem(last=False)
-                s[gppn] = None
-            return TLB_WALK_DIRTY
+        # Residency first; a first write takes the walk either way, to set
+        # the dirty flag, and still refreshes or installs the translation.
         if gppn in s:
             s.move_to_end(gppn)
+            if is_write and gppn not in self._dirty:
+                self._dirty.add(gppn)
+                return TLB_WALK_DIRTY
             return TLB_HIT
         if len(s) == self._ways:
-            s.popitem(last=False)
+            s.popitem(False)
         s[gppn] = None
+        if is_write and gppn not in self._dirty:
+            self._dirty.add(gppn)
+            return TLB_WALK_DIRTY
         return TLB_WALK
 
 
@@ -111,10 +109,8 @@ def walk_codes(trace: Trace, tlb_config: TlbConfig) -> np.ndarray:
         gs, ws, vs = trace.gppn[chunk], trace.is_write[chunk], trace.vcpu[chunk]
         for v in vcpu_ids:
             mine = np.flatnonzero(vs == v)
-            codes[lo + mine] = np.fromiter(
-                map(tlbs[v].lookup_raw, gs[mine].tolist(), ws[mine].tolist()),
-                dtype=np.int8, count=len(mine),
-            )
+            codes[lo + mine] = np.frombuffer(
+                bytes(map(tlbs[v].lookup_raw, gs[mine].tolist(), ws[mine].tolist())), np.int8)
     return codes
 
 

@@ -239,16 +239,18 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
     fed: dict = {}  # pml: the trackers fed since the last observation, by vCPU id
     batch: Optional[list] = None
     busy_until = _NEVER
+    due = next_obs  # min(busy_until, next_obs): the next instant anything fires
     handler_busy_ns = 0
 
     def start_batch(now: int) -> None:
         """Hand every pending held round to one handler invocation."""
-        nonlocal batch, busy_until, handler_busy_ns
+        nonlocal batch, busy_until, due, handler_busy_ns
         batch = pending[:]
         pending.clear()
         dur = batch_duration_ns(batch)
         handler_busy_ns += dur
         busy_until = now + dur
+        due = min(busy_until, next_obs)
 
     def drain_residuals(drained) -> None:
         for tracker in drained:
@@ -258,10 +260,11 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
 
     def fire_due(now: int) -> None:
         """Apply handler completions and observations strictly before ``now``."""
-        nonlocal batch, busy_until, next_obs, filled
+        nonlocal batch, busy_until, next_obs, filled, due
         while True:
             ct = busy_until
-            if ct >= now and next_obs >= now:
+            due = min(ct, next_obs)
+            if due >= now:
                 return
             if ct <= next_obs:
                 handle_full(batch, log)
@@ -284,7 +287,7 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
         chunk = codes[lo:lo + trace_mod._CHUNK]
         walk = lo + np.flatnonzero(chunk == TLB_WALK_DIRTY if synchronous else chunk)
         for t, g, v in zip(trace.t[walk].tolist(), trace.gppn[walk].tolist(), trace.vcpu[walk].tolist()):
-            if busy_until < t or next_obs < t:
+            if due < t:
                 fire_due(t)
             if synchronous:
                 fed[v] = trackers[v]

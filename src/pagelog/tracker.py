@@ -73,7 +73,7 @@ class Tracker:
 
     __slots__ = (
         "config",
-        "_mode",
+        "_paml",
         "round",
         "index",
         "full_events",
@@ -84,7 +84,8 @@ class Tracker:
 
     def __init__(self, config: TrackingConfig):
         self.config = config
-        self._mode = config.mode
+        # Resolved once: an Enum member read costs more than a bool test.
+        self._paml = config.mode is TrackingMode.PAML
         self.round: list[int] = []
         self.index = config.buffer_entries - 1
         self.full_events = 0
@@ -98,7 +99,7 @@ class Tracker:
         On OBS_FULL the index is -1 and ``round`` is held until the handler
         folds it and calls :meth:`reset_index`.
         """
-        if self._mode is TrackingMode.PAML:
+        if self._paml:
             i = self.index
             if i > 0:
                 self.round.append(gppn)

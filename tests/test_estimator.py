@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +203,35 @@ def test_oracle_on_cold_prefix_trace():
     tr = generate(spec)
     est = estimate_oracle(tr, params(tau=50))
     assert est.wss_pages == tr.ground_truth_wss_pages == 100
+
+
+def _oracle_pages(case, rng):
+    """Page numbers of one trace; dense ones (max below the length) take the bincount path."""
+    n = int(rng.integers(1, 60))
+    gppn = rng.integers(0, n, n)
+    if case == "max_is_len_minus_1":
+        gppn[rng.integers(n)] = n - 1
+    elif case == "max_is_len":
+        gppn[rng.integers(n)] = n
+    elif case == "sparse":
+        gppn = rng.integers(0, 8, n) * (n + 1) + rng.integers(0, 2, n) * (2**62)
+        gppn[rng.integers(n)] = 2**62 + n
+    return gppn
+
+
+@pytest.mark.parametrize("case, dense", [("dense", True), ("max_is_len_minus_1", True),
+                                         ("max_is_len", False), ("sparse", False)])
+def test_oracle_matches_counter_on_dense_and_sparse_pages(case, dense):
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        gppn = _oracle_pages(case, rng)
+        n = len(gppn)
+        tr = Trace(np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int32),
+                   gppn.astype(np.int64), np.zeros(n, dtype=bool))
+        assert (tr.max_gppn < len(tr)) == dense
+        counts = Counter(gppn.tolist()).values()
+        for tau in (1, 2, 3, 5):
+            assert estimate_oracle(tr, params(tau=tau)).wss_pages == sum(c >= tau for c in counts), (gppn, tau)
 
 
 # -- sampling baseline -----------------------------------------------------------
