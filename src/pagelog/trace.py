@@ -30,8 +30,10 @@ working set size. Fields are ASCII digits: 1 to 19, below 2^63, in ``t``,
 ``gppn`` and ``#wss``; 1 to 10, below 2^31, in ``vcpu``; ``t`` does not
 decrease. Each line ends in LF; the last may omit it.
 
-The writer formats whole columns at once; the reader parses chunks of lines
-as arrays and names the first line that breaks the grammar.
+A file holds at most ``MAX_ACCESSES`` access lines. The writer formats
+whole columns at once. The reader counts a stream's lines, then parses
+cache-sized steps of whole lines as arrays into columns sized from the
+count, and names the first line that breaks the grammar.
 """
 
 from __future__ import annotations
@@ -41,13 +43,12 @@ from enum import Enum
 from typing import BinaryIO, Iterator, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import TraceParseError, ValidationError
 
 PAGE_SIZE = 4096  # bytes per guest page; all defaults assume 4 KB pages
 
-# Upper bound on the accesses of a generated workload; generate() holds them all.
+# Upper bound on the accesses of a generated workload and of a trace file.
 MAX_ACCESSES = 100_000_000
 _CHUNK = 1 << 18  # rows per step of every chunked stage, read at call time; bounds temporaries
 
@@ -190,11 +191,22 @@ class Trace:
         return int(self.gppn.max()) if len(self.gppn) else -1
 
     def vcpu_ids(self) -> list:
-        """The distinct vCPU ids, ascending: a sort, then each value unlike its predecessor."""
-        ids = np.sort(self.vcpu)
-        first = np.ones(len(ids), dtype=bool)
-        np.not_equal(ids[1:], ids[:-1], out=first[1:])
-        return ids[first].tolist()
+        """The distinct vCPU ids, ascending, merged from those of each ``_CHUNK`` rows.
+
+        Each step sorts the ids so far with the next rows and keeps each value
+        unlike its predecessor, so the memory stays O(chunk + ids). Once the
+        ids outnumber a chunk, the last step takes all the remaining rows.
+        """
+        ids = self.vcpu[:0]
+        for lo in range(0, len(self.vcpu), _CHUNK):
+            rows = self.vcpu[lo:lo + _CHUNK] if len(ids) <= _CHUNK else self.vcpu[lo:]
+            ids = np.sort(np.concatenate([ids, rows]))
+            first = np.ones(len(ids), dtype=bool)
+            np.not_equal(ids[1:], ids[:-1], out=first[1:])
+            ids = ids[first]
+            if len(rows) > _CHUNK:
+                break
+        return ids.tolist()
 
 
 def _integer_column(name: str, values, dtype) -> np.ndarray:
@@ -270,7 +282,10 @@ _WSS_SIDECAR = b"#wss="
 _INT64_MAX = 2**63 - 1  # largest t and gppn the columns hold
 _INT32_MAX = 2**31 - 1  # largest vcpu
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # 10 .. 10^18: digit counts below 2^63
-_PAD = 18  # bytes ahead of each reader chunk, so that every field (1 to 19 digits) has a full-width window
+_PLACE = 10 ** np.arange(19, dtype=np.uint64)  # the value of each digit place of a 19-digit field
+_PAD = 18  # bytes ahead of the read buffer, so that every digit place of every field can be gathered
+_READ_LINES = 2**14  # lines per parse step; the read buffer and every temporary stay cache-sized
+_LINE_BYTES = 16  # read buffer bytes per line of a step; only a line longer than the buffer grows it
 
 
 def decimal_rows(pieces: Sequence[bytes], columns: Sequence[np.ndarray]) -> Iterator[tuple]:
@@ -325,88 +340,164 @@ def read_trace(source: BinaryIO) -> Trace:
     """Parse a trace stream in the grammar that :func:`write_trace` emits.
 
     Raises :class:`TraceParseError` naming the first line (1-based) that
-    breaks the grammar of the module docstring.
+    breaks the grammar of the module docstring. The stream is read twice,
+    so it must be seekable: once to count its lines, refusing more than
+    ``MAX_ACCESSES`` access lines before any column exists, then once to
+    parse them, in steps of at most ``_READ_LINES`` whole lines through one
+    reused buffer, straight into columns sized from the count.
     """
-    data = source.read()
-    if data[-1:] not in (b"", b"\n"):
-        data += b"\n"
-    buf = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    ground_truth = None
-    start = 0
-    first_lineno = 1
-    if data.startswith(b"#"):
-        value = data[len(_WSS_SIDECAR):ends[0]] if data.startswith(_WSS_SIDECAR) else b""
-        if value[:1] == b"-" and value[1:].isdigit():
-            raise TraceParseError("negative #wss sidecar value", 1)
-        if not (value.isdigit() and len(value) <= 19 and int(value) <= _INT64_MAX):
-            raise TraceParseError("bad #wss sidecar value", 1)
-        ground_truth = int(value)
-        start = int(ends[0]) + 1
-        ends = ends[1:]
-        first_lineno = 2
-    n = len(ends)
+    if not source.seekable():
+        raise ValidationError("workload.trace: the stream is not seekable; the reader counts its lines first")
+    raw = bytearray(_PAD + _READ_LINES * _LINE_BYTES + 1)  # + 1: room for a missing last LF
+    start = source.tell()
+    n, sidecar = _count_access_lines(source, raw)
+    source.seek(start)
+    first_lineno = 1 + sidecar
+    if n > MAX_ACCESSES:
+        raise TraceParseError(f"more than {MAX_ACCESSES} access lines", first_lineno + MAX_ACCESSES)
     t = np.empty(n, np.int64)
     vcpu = np.empty(n, np.int32)
     gppn = np.empty(n, np.int64)
     is_write = np.empty(n, bool)
+    ground_truth = None
+    lo = 0
     prev_t = 0
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        stop = int(ends[hi - 1]) + 1
-        columns = _parse_lines(buf[start:stop], ends[lo:hi] - start)
-        if columns is None or columns[0][0] < prev_t or np.any(columns[0][1:] < columns[0][:-1]):
-            raise _first_error(data[start:stop].split(b"\n")[:-1], first_lineno + lo, int(prev_t))
-        t[lo:hi], vcpu[lo:hi], gppn[lo:hi], is_write[lo:hi] = columns
+    for buf, begin, ends in _line_blocks(source, raw):
+        if sidecar:
+            ground_truth = _sidecar(bytes(buf[begin:ends[0]]))
+            sidecar = False
+            begin, ends = int(ends[0]) + 1, ends[1:]
+            if not len(ends):
+                continue
+        hi = lo + len(ends)
+        if hi > n:
+            raise ValidationError("workload.trace: the stream changed while it was read")
+        if (not _parse_lines(buf, begin, ends, (t[lo:hi], vcpu[lo:hi], gppn[lo:hi], is_write[lo:hi]))
+                or t[lo] < prev_t or np.any(t[lo + 1:hi] < t[lo:hi - 1])):
+            raise _first_error(bytes(buf[begin:ends[-1]]).split(b"\n"), first_lineno + lo, int(prev_t))
         prev_t = t[hi - 1]
-        start = stop
+        lo = hi
+    if lo != n:
+        raise ValidationError("workload.trace: the stream changed while it was read")
     return Trace(t, vcpu, gppn, is_write, ground_truth_wss_pages=ground_truth)
 
 
-def _parse_lines(lines: np.ndarray, ends: np.ndarray) -> Optional[tuple]:
-    """Columns of whole lines (bytes, each LF at ``ends``) if every line keeps the grammar, order aside."""
+def _count_access_lines(source: BinaryIO, raw: bytearray) -> tuple:
+    """``(access lines, whether line 1 is a sidecar)`` of the rest of ``source``, read into ``raw``."""
+    buf = np.frombuffer(raw, np.uint8)
+    lfs = 0
+    first = last = b""
+    with memoryview(raw) as view:
+        while got := source.readinto(view[_PAD:]):
+            lfs += np.count_nonzero(buf[_PAD:_PAD + got] == ord("\n"))
+            first = first or raw[_PAD:_PAD + 1]
+            last = raw[_PAD + got - 1:_PAD + got]
+    sidecar = first == b"#"
+    return lfs + (last not in (b"", b"\n")) - sidecar, sidecar
+
+
+def _line_blocks(source: BinaryIO, raw: bytearray) -> Iterator[tuple]:
+    """The whole lines of ``source``, at most ``_READ_LINES`` at a time, read into ``raw`` after ``_PAD`` bytes.
+
+    Yields ``(buf, begin, ends)``: a uint8 view of the buffer, the offset of
+    the block's first line and the offsets of its LFs. A last line without
+    LF gets one. A line longer than the buffer grows the buffer.
+    """
+    buf = np.frombuffer(raw, np.uint8)
+    stop = _PAD  # end of the bytes held
+    eof = False
+    while not eof:
+        with memoryview(raw) as view:
+            while stop < len(raw) - 1 and not eof:
+                got = source.readinto(view[stop:-1])
+                eof = not got
+                stop += got
+        if eof and stop > _PAD and raw[stop - 1] != ord("\n"):
+            raw[stop] = ord("\n")
+            stop += 1
+        ends = np.flatnonzero(buf[_PAD:stop] == ord("\n"))
+        if not len(ends) and not eof:
+            raw = raw + bytes(len(raw))
+            buf = np.frombuffer(raw, np.uint8)
+            continue
+        ends += _PAD
+        begin = _PAD
+        for k in range(0, len(ends), _READ_LINES):
+            block = ends[k:k + _READ_LINES]
+            yield buf, begin, block
+            begin = int(block[-1]) + 1
+        raw[_PAD:_PAD + stop - begin] = raw[begin:stop]
+        stop = _PAD + stop - begin
+
+
+def _sidecar(line: bytes) -> int:
+    """The value of a ``#wss=`` first line."""
+    value = line[len(_WSS_SIDECAR):] if line.startswith(_WSS_SIDECAR) else b""
+    if value[:1] == b"-" and value[1:].isdigit():
+        raise TraceParseError("negative #wss sidecar value", 1)
+    if not (value.isdigit() and len(value) <= 19 and int(value) <= _INT64_MAX):
+        raise TraceParseError("bad #wss sidecar value", 1)
+    return int(value)
+
+
+def _parse_lines(buf: np.ndarray, begin: int, ends: np.ndarray, columns: tuple) -> bool:
+    """Parse the whole lines ``buf[begin:ends[-1] + 1]``, each LF at ``ends``, into the slices ``columns``.
+
+    False unless every line keeps the grammar, order aside; the columns then
+    hold anything.
+    """
+    t, vcpu, gppn, is_write = columns
     n = len(ends)
+    lines = buf[begin:ends[-1] + 1]
     commas = np.flatnonzero(lines == ord(","))
     # Commas, ops and LFs are the only bytes that may not be digits.
     if len(commas) != 3 * n or np.count_nonzero(lines - ord("0") > 9) != 5 * n:
-        return None
-    op = lines[ends - 1]
-    is_write = op == ord("W")
+        return False
+    op = buf[ends - 1]
+    np.equal(op, ord("W"), out=is_write)
     if not np.all(is_write | (op == ord("R"))):
-        return None
+        return False
     # With each line's third comma just before its op, every line holds
     # exactly three commas, and the fields between them are all digits.
-    commas += _PAD
+    commas += begin
     c = commas.reshape(n, 3).T
-    if np.any(c[2] != ends + (_PAD - 2)):
-        return None
-    padded = np.empty(_PAD + len(lines), np.uint8)
-    padded[_PAD:] = lines
+    if np.any(c[2] != ends - 2):
+        return False
     starts = np.empty(n, np.int64)
-    starts[0] = _PAD
-    starts[1:] = ends[:-1] + 1 + _PAD
-    t = _decimal(padded, starts, c[0], _INT64_MAX)
-    vcpu = _decimal(padded, c[0] + 1, c[1], _INT32_MAX)
-    gppn = _decimal(padded, c[1] + 1, c[2], _INT64_MAX)
-    if t is None or vcpu is None or gppn is None:
-        return None
-    return t, vcpu, gppn, is_write
+    starts[0] = begin
+    starts[1:] = ends[:-1] + 1
+    wide = np.empty(n, np.uint64)
+    if not (_decimal(buf, c[0], c[0] - starts, _INT64_MAX, t.view(np.uint64))
+            and _decimal(buf, c[1], c[1] - c[0] - 1, _INT32_MAX, wide)
+            and _decimal(buf, c[2], c[2] - c[1] - 1, _INT64_MAX, gppn.view(np.uint64))):
+        return False
+    vcpu[:] = wide
+    return True
 
 
-def _decimal(padded: np.ndarray, start: np.ndarray, end: np.ndarray, largest: int) -> Optional[np.ndarray]:
-    """Values of the digit fields ``padded[start:end]``; None unless each fits ``largest`` in width and value."""
-    length = end - start
-    if length.min() < 1 or length.max() > len(str(largest)):
-        return None
-    w = int(length.max())
-    # Each field right-aligned in a w-byte window, the bytes ahead of it zeroed.
-    digits = sliding_window_view(padded, w)[end - w] - ord("0")
-    digits *= np.arange(w) >= (w - length)[:, None]
-    value = np.zeros(len(length), np.uint64)  # holds every 19-digit decimal
-    for j in range(w):
-        value *= 10
-        value += digits[:, j]
-    return value.view(np.int64) if value.max() <= largest else None
+def _decimal(buf: np.ndarray, end: np.ndarray, length: np.ndarray, largest: int, out: np.ndarray) -> bool:
+    """Write the values of the digit fields ``buf[end - length:end]`` into the uint64 ``out``.
+
+    One gather per digit place, counted from the last digit; a place at or
+    beyond the shortest field is masked in the fields it does not reach.
+    False unless each field fits ``largest`` in width and value.
+    """
+    shortest, longest = int(length.min()), int(length.max())
+    if shortest < 1 or longest > len(str(largest)):
+        return False
+    last = end - (1 + _PAD)  # each field's last digit in buf[_PAD:]; place j reads buf[_PAD - j:]
+    scaled = np.empty(len(end), np.uint64)
+    for j in range(longest):
+        digit = buf[_PAD - j:][last]
+        digit -= ord("0")
+        if j >= shortest:
+            digit *= length > j
+        if j:
+            np.multiply(digit, _PLACE[j], out=scaled)
+            out += scaled
+        else:
+            out[:] = digit
+    return out.max() <= largest
 
 
 def _first_error(lines: list, first_lineno: int, prev_t: int) -> TraceParseError:

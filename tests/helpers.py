@@ -2,7 +2,8 @@
 
 ``counters`` and ``fields`` read an engine run (``pagelog.sim._simulate``)
 under the names of ``spec.run``'s fields, so that a test compares the two
-field by field. ``tests/spec.py`` is the one reference model of a run.
+field by field; ``assert_engine_matches_spec`` does so for one trace and
+its settings. ``tests/spec.py`` is the one reference model of a run.
 ``small_traces`` lists every small trace for the exhaustive checks against it.
 
 ``reference_write_trace`` is the trace file writer as it was before trace
@@ -27,8 +28,11 @@ from typing import BinaryIO, Optional
 
 import numpy as np
 
+import spec
 from pagelog.errors import TraceParseError, ValidationError
 from pagelog.estimator import MAX_VMWARE_PERIODS, whole_ns
+from pagelog.mmu import walk_codes
+from pagelog.sim import _simulate
 from pagelog.trace import Pattern, Trace, WorkloadSpec
 
 
@@ -42,6 +46,24 @@ def fields(codes, out) -> dict:
     return {"codes": codes.tolist(), "walks": out.walks, "counters": counters(out.trackers),
             "counts": out.log.counts, "log_total": out.log.total,
             "handler_busy_ns": out.handler_busy_ns, "observations": out.observations.tolist()}
+
+
+def spec_run(trace, tracking, tlb, params):
+    """``spec.run`` over ``trace`` with a run's settings."""
+    accesses = list(zip(trace.t.tolist(), trace.vcpu.tolist(), trace.gppn.tolist(),
+                        trace.is_write.tolist()))
+    return spec.run(accesses, tracking.mode.value, tlb.n_sets, tlb.ways, tracking.buffer_entries,
+                    tracking.vmexit_cost_ns, tracking.handler_latency_per_entry_ns, params.tau,
+                    params.mu_ns)
+
+
+def assert_engine_matches_spec(trace, tracking, tlb, params):
+    """The walk stage and the event loop give ``spec.run``'s fields."""
+    codes = walk_codes(trace, tlb)
+    assert codes.dtype == np.int8
+    got = fields(codes, _simulate(trace, codes, tracking, params))
+    want = vars(spec_run(trace, tracking, tlb, params))
+    assert got == {name: want[name] for name in got}
 
 
 def small_traces(max_len, n_pages, n_vcpus):

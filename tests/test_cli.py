@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +322,29 @@ def test_run_crlf_trace_exit2(tmp_path, capsys):
     scn.write_text("workload.trace = t.csv\n")
     assert main(["run", str(scn)]) == 2
     assert "line 1: bad op code" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_run_non_seekable_trace_exit1(tmp_path, capsys):
+    # The reader counts a file's lines before it parses them, so it cannot
+    # read a pipe.
+    fifo = tmp_path / "t.csv"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as f:
+                f.write(b"0,0,1,R\n")
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    scn = tmp_path / "s.scn"
+    scn.write_text("workload.trace = t.csv\n")
+    assert main(["run", str(scn)]) == 1
+    writer.join(timeout=10)
+    assert "workload.trace: the stream is not seekable" in capsys.readouterr().err
 
 
 def test_trace_page_past_vmware_range_exit1(tmp_path, capsys):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pagelog import trace as trace_mod
 from pagelog.errors import TraceParseError, ValidationError
 from pagelog.estimator import EstimatorParams, VmwareParams
 from pagelog.mmu import TlbConfig
@@ -77,13 +78,18 @@ trace_lines = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(trace_lines, max_size=8).map(b"\n".join))
-@example(b"0,0,9223372036854775808,W\n")
-def test_trace_bytes_raise_only_trace_parse_error(data):
-    try:
-        read_trace(io.BytesIO(data))
-    except TraceParseError:
-        pass
+@given(st.lists(trace_lines, max_size=8).map(b"\n".join), st.sampled_from([None, 1, 3, 7]))
+@example(b"0,0,9223372036854775808,W\n", None)
+def test_trace_bytes_raise_only_trace_parse_error(data, step):
+    # The reader parses steps of _READ_LINES lines; tiny steps put seams
+    # between and inside the lines.
+    with pytest.MonkeyPatch.context() as mp:
+        if step is not None:
+            mp.setattr(trace_mod, "_READ_LINES", step)
+        try:
+            read_trace(io.BytesIO(data))
+        except TraceParseError:
+            pass
 
 
 # Small workloads with adversarial integers in every key that takes one.

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import spec
+from helpers import small_traces
 from pagelog.errors import ValidationError
 from pagelog.mmu import MAX_VCPUS, TLB_HIT, TLB_WALK, TLB_WALK_DIRTY, Tlb, TlbConfig, walk_codes
 from pagelog.trace import Trace
@@ -112,3 +113,21 @@ def test_walk_codes_bounds_distinct_vcpus():
     assert walk_codes(trace(MAX_VCPUS), TlbConfig()).tolist() == [TLB_WALK] * MAX_VCPUS
     with pytest.raises(ValidationError, match=rf"^vcpu: {MAX_VCPUS + 1} distinct vCPU ids"):
         walk_codes(trace(MAX_VCPUS + 1), TlbConfig())
+
+
+def test_walk_codes_match_spec_on_six_pages_in_one_two_way_set():
+    # Every trace of up to 6 accesses over 6 pages of one 2-way set, with
+    # writes, each trace on its own vCPU. A first write to a resident page
+    # must leave it most recently used; random traces over many pages seldom
+    # write to a resident page whose later order matters.
+    cases = small_traces(6, 6, 1)
+    assert len(cases) == 14946
+    for lo in range(0, len(cases), MAX_VCPUS):
+        accesses = [(k, p, w) for k, case in enumerate(cases[lo:lo + MAX_VCPUS]) for _, p, w in case]
+        vcpu, gppn, is_write = (np.array(column) for column in zip(*accesses))
+        trace = Trace(np.arange(len(accesses)), vcpu, gppn, is_write)
+        got = walk_codes(trace, TlbConfig(entries=2, ways=2)).tolist()
+        want = spec.walk_codes(accesses, 1, 2)
+        if got != want:
+            i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+            pytest.fail(f"access {i}: code {got[i]}, spec {want[i]}, in {cases[lo + accesses[i][0]]}")

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spec
-from helpers import fields
+from helpers import assert_engine_matches_spec, spec_run
 
 from pagelog.errors import ValidationError
 from pagelog.estimator import EstimatorParams, VmwareParams
@@ -126,24 +126,6 @@ def test_conservation_and_final_drain():
     rep = run(sc)
     assert rep.logged + rep.missed_gpas + rep.full_events == rep.walks
     assert rep.log_total == rep.logged
-
-
-def spec_run(trace, tracking, tlb, params):
-    """``spec.run`` over ``trace`` with a run's settings."""
-    accesses = list(zip(trace.t.tolist(), trace.vcpu.tolist(), trace.gppn.tolist(),
-                        trace.is_write.tolist()))
-    return spec.run(accesses, tracking.mode.value, tlb.n_sets, tlb.ways, tracking.buffer_entries,
-                    tracking.vmexit_cost_ns, tracking.handler_latency_per_entry_ns, params.tau,
-                    params.mu_ns)
-
-
-def assert_engine_matches_spec(trace, tracking, tlb, params):
-    """The walk stage and the event loop give ``spec.run``'s fields."""
-    codes = walk_codes(trace, tlb)
-    assert codes.dtype == np.int8
-    got = fields(codes, _simulate(trace, codes, tracking, params))
-    want = vars(spec_run(trace, tracking, tlb, params))
-    assert got == {name: want[name] for name in got}
 
 
 def test_engine_matches_reference_composition():

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -429,9 +430,13 @@ def _outcome(read, data):
 @example(b"5,0,1,R\n4,0,2,R\n", 1)  # decreasing across a chunk seam
 @example(b"9223372036854775807,2147483647,9223372036854775807,W\n", None)
 def test_read_trace_matches_per_line_reference(data, chunk):
+    # Steps of 1, 3 and 7 lines through a buffer of 16 bytes a line: seams
+    # fall between lines, inside them and inside the sidecar, and long lines
+    # grow the buffer.
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:
             mp.setattr(trace_mod, "_CHUNK", chunk)
+            mp.setattr(trace_mod, "_READ_LINES", chunk)
         assert _outcome(read_trace, data) == _outcome(reference_read_trace, data)
 
 
@@ -481,8 +486,105 @@ def test_canonical_file_takes_array_path(monkeypatch):
 
     monkeypatch.setattr(trace_mod, "_first_error", refuse)
     monkeypatch.setattr(trace_mod, "_CHUNK", 7)
+    monkeypatch.setattr(trace_mod, "_READ_LINES", 7)
     for expected in (tr, big, largest):
         buf = io.BytesIO()
         write_trace(expected, buf)
         buf.seek(0)
         assert read_trace(buf) == expected
+
+
+@pytest.mark.parametrize("sidecar", [b"", b"#wss=2\n"])
+@pytest.mark.parametrize("last_lf", [b"\n", b""])
+def test_access_lines_bounded(sidecar, last_lf, monkeypatch):
+    # A file had no bound. It is counted before any column exists, so a bad
+    # line under the bound does not hide the refusal.
+    monkeypatch.setattr(trace_mod, "MAX_ACCESSES", 3)
+    monkeypatch.setattr(trace_mod, "_READ_LINES", 2)
+    first = 1 + len(sidecar.splitlines())
+    lines = [b"0,0,1,R", b"5,0,2,W", b"5,1,3,R"]
+    assert len(read_trace(io.BytesIO(sidecar + b"\n".join(lines) + last_lf))) == 3
+    for extra in (b"9,0,4,W", b"oops"):
+        data = sidecar + b"\n".join([*lines, extra]) + last_lf
+        with pytest.raises(TraceParseError, match=f"^line {first + 3}: more than 3 access lines$"):
+            read_trace(io.BytesIO(data))
+    with pytest.raises(TraceParseError, match=f"^line {first + 3}: more than 3 access lines$"):
+        read_trace(io.BytesIO(sidecar + b"0,0,1,R\nbad\n\n\n" + last_lf))
+
+
+class _Pipe(io.BytesIO):
+    def seekable(self):
+        return False
+
+
+def test_non_seekable_stream_refused():
+    with pytest.raises(ValidationError, match="^workload.trace: the stream is not seekable"):
+        read_trace(_Pipe(b"0,0,1,R\n"))
+
+
+class _Rewritten(io.BytesIO):
+    """A stream whose bytes are replaced when the reader seeks back after counting."""
+
+    def __init__(self, counted, parsed):
+        super().__init__(counted)
+        self.parsed = parsed
+
+    def seek(self, pos, whence=0):
+        super().seek(0)
+        self.truncate()
+        self.write(self.parsed)
+        return super().seek(pos, whence)
+
+
+@pytest.mark.parametrize("parsed", [b"0,0,1,R\n5,0,2,W\n9,0,3,R\n", b"0,0,1,R\n"])
+def test_stream_changed_between_passes_refused(parsed):
+    # The columns are sized from the count, so a stream that gains or loses
+    # lines before the parse is refused rather than overrun or left short.
+    with pytest.raises(ValidationError, match="^workload.trace: the stream changed while it was read$"):
+        read_trace(_Rewritten(b"0,0,1,R\n5,0,2,W\n", parsed))
+
+
+def test_read_starts_at_the_stream_position():
+    buf = io.BytesIO(b"skipped\n#wss=1\n0,0,1,R\n")
+    buf.seek(8)
+    assert read_trace(buf) == Trace(np.array([0]), np.array([0]), np.array([1]), np.array([False]),
+                                    ground_truth_wss_pages=1)
+
+
+def test_read_peak_is_the_columns_plus_one_step(tmp_path):
+    # The reader used to hold the whole file, an offset per line and a padded
+    # copy of each chunk: 7.3x the columns on the benchmark's replay file.
+    def traced_read(path):
+        tracemalloc.start()
+        try:
+            tr = read_trace_file(path)
+            return tr, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def write(n, path):
+        rng = np.random.default_rng(5)
+        tr = Trace(np.arange(n) * 1000, rng.integers(0, 4, n), rng.integers(0, 10**6, n),
+                   rng.integers(0, 2, n).astype(bool))
+        write_trace_file(tr, path)
+        return tr
+
+    step = write(trace_mod._READ_LINES, tmp_path / "step.csv")
+    _, step_peak = traced_read(tmp_path / "step.csv")
+    columns_of_step = sum(c.nbytes for c in (step.t, step.vcpu, step.gppn, step.is_write))
+    big = write(16 * trace_mod._READ_LINES, tmp_path / "big.csv")
+    tr, peak = traced_read(tmp_path / "big.csv")
+    assert tr == big
+    columns = sum(c.nbytes for c in (tr.t, tr.vcpu, tr.gppn, tr.is_write))
+    assert peak <= 1.3 * columns + (step_peak - columns_of_step)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, None])
+def test_vcpu_ids_merge_chunks(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(trace_mod, "_CHUNK", chunk)
+    rng = np.random.default_rng(3)
+    for n, top in ((0, 1), (1, 1), (40, 3), (40, 2**31 - 1), (200, 30)):
+        vcpu = rng.integers(0, top, n)
+        tr = Trace(np.zeros(n), vcpu, np.zeros(n), np.zeros(n, dtype=bool))
+        assert tr.vcpu_ids() == sorted(set(vcpu.tolist()))
