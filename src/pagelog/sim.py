@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass
 from enum import Enum
@@ -213,7 +214,7 @@ class _EngineOutput(NamedTuple):
 
 # Upper bound on observations per run, as MAX_VMWARE_PERIODS bounds periods.
 MAX_OBSERVATIONS = 1_000_000
-_NEVER = 1 << 63  # busy_until while no handler batch runs: no earlier than any instant (<= 2^63)
+_NEVER = math.inf  # busy_until and next_obs when none is pending; a batch can end past 2^63-1 ns
 
 
 def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
@@ -226,11 +227,11 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
 
     n = len(trace)
     mu = params.mu_ns
-    next_obs = (int(trace.t[0]) if n else 0) + mu  # the clock starts at the first access
     # The instants are known up front: every mu after the first access, then
     # the end of the trace. The loop fills in the counters.
     k = trace.span_ns // mu
     observations = np.recarray(k + 1 if n else 0, dtype=OBS_DTYPE)
+    next_obs = int(trace.t[0]) + mu if k else _NEVER  # the clock starts at the first access
     if k:
         observations.t_ns[:k] = next_obs + mu * np.arange(k, dtype=np.int64)
     hot, distinct = observations.hot_pages, observations.distinct_pages
@@ -281,7 +282,7 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
                     fed.clear()
                 hot[filled], distinct[filled] = log.hot_count, log.distinct_count
                 filled += 1
-                next_obs += mu
+                next_obs = next_obs + mu if filled < k else _NEVER
 
     for lo in range(0, n, trace_mod._CHUNK):
         chunk = codes[lo:lo + trace_mod._CHUNK]
@@ -301,22 +302,15 @@ def _simulate(trace: Trace, codes: np.ndarray, tracking: TrackingConfig,
                     if batch is None:
                         start_batch(t)
 
-    end_t = int(trace.t[-1]) if n else 0
-    fire_due(end_t + 1)
-
-    # Flush handler work scheduled beyond the end of the trace, then fold in
-    # whatever is still sitting in partially filled buffers.
-    while batch is not None:
-        handle_full(batch, log)
-        batch = None
-        if pending:
-            start_batch(busy_until)
+    # Fire what is left, a handler batch ending past the last access too,
+    # then fold in the partially filled buffers.
+    fire_due(_NEVER)
     drain_residuals(trackers.values())
     if n:
         # Closing observation: the estimation process reads the fully drained
         # log once the workload ends, so traces shorter than a buffer round
         # (or an observation interval) still yield their final counts.
-        observations[k] = (end_t, log.hot_count, log.distinct_count)
+        observations[k] = (int(trace.t[-1]), log.hot_count, log.distinct_count)
 
     return _EngineOutput(int(np.count_nonzero(codes)), trackers, log, observations, handler_busy_ns)
 

@@ -8,6 +8,10 @@ until the handler (:func:`pagelog.handler.handle_full`) folds it into the
 cumulative log and resets the index. The modes differ in what gets logged
 and in who pays for a full buffer.
 
+The round is the only logging state a tracker stores. The index register
+is derived from it, as the SDM defines it: ``capacity - 1`` less the round's
+length, or -1 while the round is held; so are ``logged`` and ``vm_stall_ns``.
+
 PML mode logs only walks that set a page's dirty flag. The walk that fills
 the last slot raises an exit handled on the VM's own CPU: the VM is stalled
 for ``vmexit_cost_ns`` and the round is folded before the VM resumes, so no
@@ -71,27 +75,31 @@ class TrackingConfig:
 class Tracker:
     """Per-vCPU logging hardware instance."""
 
-    __slots__ = (
-        "config",
-        "_paml",
-        "round",
-        "index",
-        "full_events",
-        "missed_gpas",
-        "logged",
-        "vm_stall_ns",
-    )
+    __slots__ = ("config", "_paml", "_last", "round", "_held", "_folded", "full_events", "missed_gpas")
 
     def __init__(self, config: TrackingConfig):
         self.config = config
         # Resolved once: an Enum member read costs more than a bool test.
         self._paml = config.mode is TrackingMode.PAML
+        self._last = config.buffer_entries - 1  # the index register's start
         self.round: list[int] = []
-        self.index = config.buffer_entries - 1
+        self._held = False  # a full event stopped the index; the round awaits its fold
+        self._folded = 0  # entries of earlier rounds, folded or drained
         self.full_events = 0
         self.missed_gpas = 0
-        self.logged = 0
-        self.vm_stall_ns = 0
+
+    @property
+    def index(self) -> int:
+        """The index register: the next free slot, counting down, or -1 while held."""
+        return -1 if self._held else self._last - len(self.round)
+
+    @property
+    def logged(self) -> int:
+        return self._folded + len(self.round)
+
+    @property
+    def vm_stall_ns(self) -> int:
+        return 0 if self._paml else self.full_events * self.config.vmexit_cost_ns
 
     def observe_raw(self, gppn: int, dirty_set: bool) -> int:
         """Feed one walk; returns an OBS_* code.
@@ -100,40 +108,36 @@ class Tracker:
         folds it and calls :meth:`reset_index`.
         """
         if self._paml:
-            i = self.index
-            if i > 0:
-                self.round.append(gppn)
-                self.index = i - 1
-                self.logged += 1
+            if self._held:
+                self.missed_gpas += 1
+                return OBS_DROPPED
+            r = self.round
+            if len(r) < self._last:
+                r.append(gppn)
                 return OBS_LOGGED
-            if i == 0:
-                # Buffer detected full; the triggering page is not logged.
-                self.index = -1
-                self.full_events += 1
-                return OBS_FULL
-            self.missed_gpas += 1
-            return OBS_DROPPED
+            # Index 0 detected before logging; the triggering page is not logged.
+            self._held = True
+            self.full_events += 1
+            return OBS_FULL
         if not dirty_set:
             return OBS_IGNORED
-        i = self.index
-        if i < 0:
+        if self._held:
             raise ProtocolError("observe_raw: pml round held, the VM is stalled until it is folded")
-        self.round.append(gppn)
-        self.logged += 1
-        if i > 0:
-            self.index = i - 1
+        r = self.round
+        r.append(gppn)
+        if len(r) <= self._last:
             return OBS_LOGGED
         # Synchronous exit on the VM's CPU: the VM stalls until the fold.
-        self.index = -1
+        self._held = True
         self.full_events += 1
-        self.vm_stall_ns += self.config.vmexit_cost_ns
         return OBS_FULL
 
     def reset_index(self) -> None:
         """Start a new round once a held one has been folded."""
-        if self.index >= 0:
+        if not self._held:
             raise ProtocolError(f"reset_index: index is {self.index}, no full event outstanding")
-        self.index = self.config.buffer_entries - 1
+        self._held = False
+        self._folded += len(self.round)
         self.round = []
 
     def drain_residual(self) -> list:
@@ -142,11 +146,11 @@ class Tracker:
         Gives nothing while a round is held. Used for flush-on-query and at
         end of run so that partially filled buffers are not lost.
         """
-        if self.index < 0:
+        if self._held:
             return []
         snap = self.round
+        self._folded += len(snap)
         self.round = []
-        self.index = self.config.buffer_entries - 1
         return snap
 
 

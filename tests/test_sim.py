@@ -10,13 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spec
-from helpers import assert_engine_matches_spec, spec_run
+from helpers import assert_engine_matches_spec, fields, spec_run
 
 from pagelog.errors import ValidationError
 from pagelog.estimator import EstimatorParams, VmwareParams
 from pagelog import sim
 from pagelog import trace as trace_mod
-from pagelog.mmu import TlbConfig, walk_codes
+from pagelog.mmu import TLB_HIT, TLB_WALK_DIRTY, Tlb, TlbConfig, walk_codes
 from pagelog.sim import (
     ESTIMATOR_ORACLE,
     ESTIMATOR_PML,
@@ -238,6 +238,82 @@ def test_conservation_laws_of_both_modes(case):
             assert t.vm_stall_ns == t.full_events * tracking.vmexit_cost_ns
             assert t.missed_gpas == 0
         assert out.handler_busy_ns == 0
+
+
+def _in_both_modes(case):
+    """The engine fields of ``case`` run in each tracking mode."""
+    trace, tracking, tlb, params = case
+    codes = walk_codes(trace, tlb)
+    return [fields(codes, _simulate(trace, codes, dataclasses.replace(tracking, mode=mode), params))
+            for mode in TrackingMode]
+
+
+@settings(max_examples=100, deadline=None)
+@given(multi_vcpu_runs(), st.data())
+def test_shifting_the_clock_shifts_only_the_observation_instants(case, data):
+    # Metamorphic: the engine reads only differences of timestamps, so a
+    # trace shifted in time, up to its last access at 2^63-1 ns, gives the
+    # same run at shifted instants. A handler batch may then end past 2^63-1.
+    trace, *config = case
+    limit = 2**63 - 1 - int(trace.t[-1])
+    shift = data.draw(st.integers(0, limit) | st.just(limit), label="shift")
+    shifted = Trace(trace.t + shift, trace.vcpu, trace.gppn, trace.is_write)
+    for want, got in zip(_in_both_modes(case), _in_both_modes((shifted, *config))):
+        want["observations"] = [(t + shift, *rest) for t, *rest in want["observations"]]
+        assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(multi_vcpu_runs(), st.randoms(use_true_random=False))
+def test_relabelling_vcpus_permutes_only_their_counters(case, rnd):
+    # Metamorphic: vCPU ids only name TLBs and buffers. A bijection onto new
+    # ids, up to the int32 edge, permutes the per-vCPU counters and leaves
+    # every report field as it was.
+    trace, *config = case
+    old = trace.vcpu_ids()
+    new = rnd.sample([*range(1001), 2**31 - 1], len(old))
+    relabel = dict(zip(old, new))
+    relabelled = Trace(trace.t, np.array([relabel[v] for v in trace.vcpu.tolist()]), trace.gppn,
+                       trace.is_write)
+    for want, got in zip(_in_both_modes(case), _in_both_modes((relabelled, *config))):
+        want["counters"] = {relabel[v]: c for v, c in want["counters"].items()}
+        assert got == want
+    tracking, tlb, params = config
+    for mode, (native, _) in sim.NATIVE.items():
+        sc = Scenario(workload=WorkloadSpec(n_pages=80, pattern=Pattern.RWRW),
+                      tracking=dataclasses.replace(tracking, mode=mode), tlb=tlb, estimator=params,
+                      estimators_enabled=frozenset({native, ESTIMATOR_ORACLE}))
+        assert report_to_json(run(sc, trace=relabelled)) == report_to_json(run(sc, trace=trace))
+
+
+@pytest.mark.parametrize("chunk", [3, trace_mod._CHUNK])
+@pytest.mark.parametrize("mode", list(TrackingMode))
+def test_engine_makes_the_per_access_calls_the_benchmark_counts(mode, chunk, monkeypatch):
+    # README "Performance": the benchmark's tracer counts Tlb.lookup_raw and
+    # Tracker.observe_raw calls, so the engine must make one lookup per access
+    # and one observe call per walk its mode logs. Counted here with wrappers
+    # like the tracer's, in case the engine bypasses a hooked method.
+    monkeypatch.setattr(trace_mod, "_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    n = 400
+    trace = Trace(np.arange(n) * 10, rng.integers(0, 2, n), rng.integers(0, 60, n), rng.random(n) < 0.5)
+    calls = Counter()
+
+    def counting(name, method):
+        def wrapped(obj, a, b):
+            calls[name] += 1
+            return method(obj, a, b)
+        return wrapped
+
+    monkeypatch.setattr(Tlb, "lookup_raw", counting("lookup_raw", Tlb.lookup_raw))
+    monkeypatch.setattr(Tracker, "observe_raw", counting("observe_raw", Tracker.observe_raw))
+    codes = walk_codes(trace, TlbConfig(entries=16, ways=4))
+    assert calls["lookup_raw"] == n
+    tracking = TrackingConfig(mode=mode, buffer_entries=4, handler_latency_per_entry_ns=20)
+    out = _simulate(trace, codes, tracking, EstimatorParams(tau=2, mu_s=5e-7, omega_s=2e-6))
+    logged_walks = codes == TLB_WALK_DIRTY if mode is TrackingMode.PML else codes != TLB_HIT
+    assert calls["observe_raw"] == np.count_nonzero(logged_walks)
+    assert sum(t.full_events for t in out.trackers.values()) > 1  # full rounds reach the handler
 
 
 def test_pml_observations_drain_only_trackers_fed_since_the_last(monkeypatch):

@@ -3,10 +3,11 @@
 The three workloads of the benchmark, restated here at full size and seed
 1: a paml RWRW run (102,400 accesses), a cold prefix and hot loop run in
 both modes (64,000 accesses each) and a 4-vCPU pml replay (25,000 lines)
-read back through a trace file. The exhaustive spec tests stop at a few
-accesses; at these sizes handler batches, full events and observations
-interleave thousands of times, which is where a handler completion fired
-late or an observation taken out of order shows.
+read back through a trace file; and a skewed 4-vCPU trace of 10^5 accesses
+in both modes. The exhaustive spec tests stop at a few accesses; at these
+sizes handler batches, full events and observations interleave thousands of
+times, which is where a handler completion fired late or an observation
+taken out of order shows.
 """
 
 import dataclasses
@@ -16,9 +17,11 @@ import numpy as np
 import pytest
 
 from helpers import assert_engine_matches_spec
+from pagelog.estimator import EstimatorParams
+from pagelog.mmu import TlbConfig
 from pagelog.sim import parse_scenario_text
 from pagelog.trace import Trace, generate, read_trace, write_trace
-from pagelog.tracker import TrackingMode
+from pagelog.tracker import TrackingConfig, TrackingMode
 
 PAML_RWRW = """\
 workload.pattern = rwrw
@@ -112,3 +115,21 @@ def test_bench_workloads_match_spec(name, accesses):
     for trace, tracking in runs:
         assert len(trace) == accesses
         assert_engine_matches_spec(trace, tracking, scenario.tlb, scenario.estimator)
+
+
+def zipf_trace(seed=1, n=100_000, vcpus=4, pages=3_000):
+    """Pages drawn from Zipf(1.2), the tail past ``pages`` folded back onto
+    them, on vCPUs drawn uniformly, 30% writes, one access every 25 ns."""
+    rng = np.random.default_rng(seed)
+    gppn = (rng.zipf(1.2, size=n) - 1) % pages
+    return Trace(np.arange(n) * 25, rng.integers(0, vcpus, size=n), gppn, rng.random(n) < 0.3)
+
+
+@pytest.mark.parametrize("mode", list(TrackingMode))
+def test_zipf_trace_over_four_vcpus_matches_spec(mode):
+    # A hot head of pages that stay resident and a long tail that keeps
+    # walking: unlike the cyclic workloads, rounds mix reuses and first touches.
+    trace = zipf_trace()
+    assert len(trace.vcpu_ids()) == 4
+    tracking = TrackingConfig(mode=mode, buffer_entries=64, handler_latency_per_entry_ns=20)
+    assert_engine_matches_spec(trace, tracking, TlbConfig(), EstimatorParams(tau=4, mu_s=5e-5, omega_s=2e-4))
