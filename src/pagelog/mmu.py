@@ -2,7 +2,10 @@
 
 The TLB decides which accesses reach the page-table walker: only walks feed
 the logging hardware. The model is a set-associative LRU cache keyed by the
-guest physical page number, with the set index ``gppn mod n_sets``.
+guest physical page number, with the set index ``gppn mod n_sets``. A set
+of at most ``DEQUE_MAX_WAYS`` ways is a bounded deque, least recently used
+first, so a miss is one append that evicts in C; a wider set is an
+``OrderedDict``.
 
 Dirty flags live in a per-page table that outlives TLB evictions, mirroring
 the second-level page-table entry. A write to a page whose dirty flag is
@@ -18,8 +21,9 @@ own TLB and therefore its own flag table. A run's walk stage is ``walk_codes``.
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +37,11 @@ TLB_WALK = 1
 TLB_WALK_DIRTY = 2
 
 MAX_TLB_ENTRIES = 65536
+MAX_TLB_WAYS = 64
+# The widest set kept as a deque. A deque's `in` and `remove` scan the set,
+# so as sets widen it loses to an OrderedDict's hashing: it won at 4 ways,
+# was about even at 8 and lost at 16 (README "Performance").
+DEQUE_MAX_WAYS = 4
 # Upper bound on a trace's distinct vCPU ids: the walk stage scans each chunk
 # once per vCPU.
 MAX_VCPUS = 256
@@ -48,6 +57,8 @@ class TlbConfig:
     def __post_init__(self) -> None:
         if self.ways < 1:
             raise ValidationError("ways: must be >= 1")
+        if self.ways > MAX_TLB_WAYS:
+            raise ValidationError(f"ways: must be <= {MAX_TLB_WAYS}")
         if self.entries < self.ways:
             raise ValidationError("entries: must be >= ways")
         if self.entries > MAX_TLB_ENTRIES:
@@ -63,12 +74,15 @@ class TlbConfig:
 class Tlb:
     """Set-associative LRU TLB plus the per-page dirty-flag table."""
 
-    __slots__ = ("_n_sets", "_ways", "_sets", "_dirty")
+    __slots__ = ("_n_sets", "_ways", "_narrow", "_sets", "_dirty")
 
     def __init__(self, config: TlbConfig = TlbConfig()):
         self._n_sets = config.n_sets
         self._ways = config.ways
-        self._sets: defaultdict[int, OrderedDict[int, None]] = defaultdict(OrderedDict)
+        self._narrow = config.ways <= DEQUE_MAX_WAYS
+        # Each set holds its pages least recently used first.
+        self._sets: defaultdict[int, deque[int] | OrderedDict[int, None]] = defaultdict(
+            partial(deque, (), config.ways) if self._narrow else OrderedDict)
         self._dirty: set[int] = set()
 
     def lookup_raw(self, gppn: int, is_write: bool) -> int:
@@ -80,14 +94,21 @@ class Tlb:
         # Residency first; a first write takes the walk either way, to set
         # the dirty flag, and still refreshes or installs the translation.
         if gppn in s:
-            s.move_to_end(gppn)
+            if self._narrow:
+                s.remove(gppn)
+                s.append(gppn)
+            else:
+                s.move_to_end(gppn)
             if is_write and gppn not in self._dirty:
                 self._dirty.add(gppn)
                 return TLB_WALK_DIRTY
             return TLB_HIT
-        if len(s) == self._ways:
-            s.popitem(False)
-        s[gppn] = None
+        if self._narrow:
+            s.append(gppn)  # a full deque drops its least recently used page
+        else:
+            if len(s) == self._ways:
+                s.popitem(False)
+            s[gppn] = None
         if is_write and gppn not in self._dirty:
             self._dirty.add(gppn)
             return TLB_WALK_DIRTY

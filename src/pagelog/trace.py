@@ -134,7 +134,7 @@ class Trace:
     round-trips through a file.
     """
 
-    __slots__ = ("t", "vcpu", "gppn", "is_write", "ground_truth_wss_pages")
+    __slots__ = ("t", "vcpu", "gppn", "is_write", "ground_truth_wss_pages", "_vcpu_ids")
 
     def __init__(
         self,
@@ -164,6 +164,7 @@ class Trace:
         if ground_truth_wss_pages is not None and ground_truth_wss_pages > _INT64_MAX:
             raise ValidationError("ground_truth_wss_pages: must be at most 2^63-1")
         self.ground_truth_wss_pages = ground_truth_wss_pages
+        self._vcpu_ids: Optional[list] = None
 
     def __len__(self) -> int:
         return len(self.t)
@@ -196,7 +197,11 @@ class Trace:
         Each step sorts the ids so far with the next rows and keeps each value
         unlike its predecessor, so the memory stays O(chunk + ids). Once the
         ids outnumber a chunk, the last step takes all the remaining rows.
+        The trace is immutable, so the ids are merged on the first call only;
+        each call returns a new list, which the caller may change.
         """
+        if self._vcpu_ids is not None:
+            return list(self._vcpu_ids)
         ids = self.vcpu[:0]
         for lo in range(0, len(self.vcpu), _CHUNK):
             rows = self.vcpu[lo:lo + _CHUNK] if len(ids) <= _CHUNK else self.vcpu[lo:]
@@ -206,7 +211,8 @@ class Trace:
             ids = ids[first]
             if len(rows) > _CHUNK:
                 break
-        return ids.tolist()
+        self._vcpu_ids = ids.tolist()
+        return list(self._vcpu_ids)
 
 
 def _integer_column(name: str, values, dtype) -> np.ndarray:

@@ -3,8 +3,10 @@ import pytest
 
 import spec
 from helpers import small_traces
+from pagelog import trace as trace_mod
 from pagelog.errors import ValidationError
-from pagelog.mmu import MAX_VCPUS, TLB_HIT, TLB_WALK, TLB_WALK_DIRTY, Tlb, TlbConfig, walk_codes
+from pagelog.mmu import (DEQUE_MAX_WAYS, MAX_VCPUS, TLB_HIT, TLB_WALK, TLB_WALK_DIRTY, Tlb, TlbConfig,
+                         walk_codes)
 from pagelog.trace import Trace
 
 READ, WRITE = False, True
@@ -89,7 +91,7 @@ def test_walk_event_invariant():
 
 @pytest.mark.parametrize(
     "entries,ways,field",
-    [(63, 4, "entries"), (2, 4, "entries"), (4, 0, "ways"), (131072, 4, "entries")],
+    [(63, 4, "entries"), (2, 4, "entries"), (4, 0, "ways"), (131072, 4, "entries"), (128, 128, "ways")],
 )
 def test_config_validation(entries, ways, field):
     with pytest.raises(ValidationError, match=field):
@@ -131,3 +133,26 @@ def test_walk_codes_match_spec_on_six_pages_in_one_two_way_set():
         if got != want:
             i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
             pytest.fail(f"access {i}: code {got[i]}, spec {want[i]}, in {cases[lo + accesses[i][0]]}")
+
+
+@pytest.mark.parametrize("chunk", [3, trace_mod._CHUNK])
+@pytest.mark.parametrize("ways", [DEQUE_MAX_WAYS, DEQUE_MAX_WAYS + 1, 8])
+def test_walk_codes_match_spec_on_both_set_kinds(ways, chunk, monkeypatch):
+    # Sets of up to DEQUE_MAX_WAYS ways are deques and wider ones are
+    # OrderedDicts. 2,000 random traces of 1-40 accesses over ways + 2 pages
+    # of one set, with writes, fill and evict the set and refresh resident
+    # pages on both sides of that crossover. Trace k runs in set k of one
+    # TLB, so the traces share no set, page or dirty flag.
+    monkeypatch.setattr(trace_mod, "_CHUNK", chunk)
+    rng = np.random.default_rng(ways)
+    n_sets = 2000
+    cases = [list(zip(rng.integers(0, ways + 2, n).tolist(), (rng.random(n) < 0.3).tolist()))
+             for n in rng.integers(1, 41, n_sets)]
+    accesses = [(0, p * n_sets + k, w) for k, case in enumerate(cases) for p, w in case]
+    _, gppn, is_write = (np.array(column) for column in zip(*accesses))
+    trace = Trace(np.arange(len(accesses)), np.zeros(len(accesses)), gppn, is_write)
+    got = walk_codes(trace, TlbConfig(entries=n_sets * ways, ways=ways)).tolist()
+    want = spec.walk_codes(accesses, n_sets, ways)
+    if got != want:
+        i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        pytest.fail(f"access {i}: code {got[i]}, spec {want[i]}, in {cases[accesses[i][1] % n_sets]}")

@@ -588,3 +588,12 @@ def test_vcpu_ids_merge_chunks(chunk, monkeypatch):
         vcpu = rng.integers(0, top, n)
         tr = Trace(np.zeros(n), vcpu, np.zeros(n), np.zeros(n, dtype=bool))
         assert tr.vcpu_ids() == sorted(set(vcpu.tolist()))
+
+
+def test_vcpu_ids_are_a_new_list_each_call():
+    # The ids are merged once per trace; changing a returned list must not
+    # change what the next caller gets.
+    tr = Trace(np.zeros(4), np.array([3, 1, 3, 0]), np.zeros(4), np.zeros(4, dtype=bool))
+    ids = tr.vcpu_ids()
+    ids.append(7)
+    assert tr.vcpu_ids() == [0, 1, 3]
