@@ -2,10 +2,9 @@
 
 The TLB decides which accesses reach the page-table walker: only walks feed
 the logging hardware. The model is a set-associative LRU cache keyed by the
-guest physical page number, with the set index ``gppn mod n_sets``. A set
-of at most ``DEQUE_MAX_WAYS`` ways is a bounded deque, least recently used
-first, so a miss is one append that evicts in C; a wider set is an
-``OrderedDict``.
+guest physical page number, with the set index ``gppn mod n_sets``. Each
+set is a deque bounded at ``ways``, least recently used first, so a miss is
+one append that evicts in C.
 
 Dirty flags live in a per-page table that outlives TLB evictions, mirroring
 the second-level page-table entry. A write to a page whose dirty flag is
@@ -21,7 +20,7 @@ own TLB and therefore its own flag table. A run's walk stage is ``walk_codes``.
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict, deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import partial
 
@@ -38,10 +37,6 @@ TLB_WALK_DIRTY = 2
 
 MAX_TLB_ENTRIES = 65536
 MAX_TLB_WAYS = 64
-# The widest set kept as a deque. A deque's `in` and `remove` scan the set,
-# so as sets widen it loses to an OrderedDict's hashing: it won at 4 ways,
-# was about even at 8 and lost at 16 (README "Performance").
-DEQUE_MAX_WAYS = 4
 # Upper bound on a trace's distinct vCPU ids: the walk stage scans each chunk
 # once per vCPU.
 MAX_VCPUS = 256
@@ -74,15 +69,14 @@ class TlbConfig:
 class Tlb:
     """Set-associative LRU TLB plus the per-page dirty-flag table."""
 
-    __slots__ = ("_n_sets", "_ways", "_narrow", "_sets", "_dirty")
+    __slots__ = ("_n_sets", "_sets", "_dirty")
 
     def __init__(self, config: TlbConfig = TlbConfig()):
         self._n_sets = config.n_sets
-        self._ways = config.ways
-        self._narrow = config.ways <= DEQUE_MAX_WAYS
-        # Each set holds its pages least recently used first.
-        self._sets: defaultdict[int, deque[int] | OrderedDict[int, None]] = defaultdict(
-            partial(deque, (), config.ways) if self._narrow else OrderedDict)
+        # Each set holds its pages least recently used first. A deque's `in`
+        # and `remove` scan the set, so a hit costs O(ways) (README
+        # "Performance").
+        self._sets: defaultdict[int, deque[int]] = defaultdict(partial(deque, (), config.ways))
         self._dirty: set[int] = set()
 
     def lookup_raw(self, gppn: int, is_write: bool) -> int:
@@ -94,21 +88,13 @@ class Tlb:
         # Residency first; a first write takes the walk either way, to set
         # the dirty flag, and still refreshes or installs the translation.
         if gppn in s:
-            if self._narrow:
-                s.remove(gppn)
-                s.append(gppn)
-            else:
-                s.move_to_end(gppn)
+            s.remove(gppn)
+            s.append(gppn)
             if is_write and gppn not in self._dirty:
                 self._dirty.add(gppn)
                 return TLB_WALK_DIRTY
             return TLB_HIT
-        if self._narrow:
-            s.append(gppn)  # a full deque drops its least recently used page
-        else:
-            if len(s) == self._ways:
-                s.popitem(False)
-            s[gppn] = None
+        s.append(gppn)  # a full deque drops its least recently used page
         if is_write and gppn not in self._dirty:
             self._dirty.add(gppn)
             return TLB_WALK_DIRTY

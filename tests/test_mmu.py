@@ -5,8 +5,7 @@ import spec
 from helpers import small_traces
 from pagelog import trace as trace_mod
 from pagelog.errors import ValidationError
-from pagelog.mmu import (DEQUE_MAX_WAYS, MAX_VCPUS, TLB_HIT, TLB_WALK, TLB_WALK_DIRTY, Tlb, TlbConfig,
-                         walk_codes)
+from pagelog.mmu import MAX_VCPUS, TLB_HIT, TLB_WALK, TLB_WALK_DIRTY, Tlb, TlbConfig, walk_codes
 from pagelog.trace import Trace
 
 READ, WRITE = False, True
@@ -136,13 +135,12 @@ def test_walk_codes_match_spec_on_six_pages_in_one_two_way_set():
 
 
 @pytest.mark.parametrize("chunk", [3, trace_mod._CHUNK])
-@pytest.mark.parametrize("ways", [DEQUE_MAX_WAYS, DEQUE_MAX_WAYS + 1, 8])
-def test_walk_codes_match_spec_on_both_set_kinds(ways, chunk, monkeypatch):
-    # Sets of up to DEQUE_MAX_WAYS ways are deques and wider ones are
-    # OrderedDicts. 2,000 random traces of 1-40 accesses over ways + 2 pages
-    # of one set, with writes, fill and evict the set and refresh resident
-    # pages on both sides of that crossover. Trace k runs in set k of one
-    # TLB, so the traces share no set, page or dirty flag.
+@pytest.mark.parametrize("ways", [1, 4, 8, 16])
+def test_walk_codes_match_spec_on_random_one_set_traces(ways, chunk, monkeypatch):
+    # 2,000 random traces of 1-40 accesses over ways + 2 pages of one set,
+    # with writes, fill and evict the set and refresh resident pages. Trace
+    # k runs in set k of one TLB, so the traces share no set, page or dirty
+    # flag.
     monkeypatch.setattr(trace_mod, "_CHUNK", chunk)
     rng = np.random.default_rng(ways)
     n_sets = 2000
