@@ -40,9 +40,13 @@ from .trace import PAGE_SIZE, Trace
 # draw; the draw grows with the sample size, so the pages are bounded too.
 MAX_VMWARE_PERIODS = 1_000_000
 MAX_VMWARE_SAMPLES = 10**8
-# Upper bound on samples per period: one period's int64 keys fit the block
-# budget of estimate_vmware, _CHUNK // 8 keys.
+# Upper bound on samples per period: it bounds one period's rng.choice draw,
+# whose time and memory grow with the sample. A draw of 2^15 pages peaked at
+# 12.5 MiB and 10 ms, from a 1.6M-page allocation that numpy shuffles whole.
 MAX_VMWARE_SAMPLE_SIZE = 1 << 15
+# Upper bound on the page table of estimate_vmware: one flag per page up to the
+# highest touched page inside the allocation, 95 MiB at the bound.
+MAX_VMWARE_PAGES = 10**8
 
 _NS_PER_S = 1_000_000_000
 
@@ -190,7 +194,8 @@ def estimate_vmware(
     the faulted fraction scales to ``allocated_pages``. The reported value
     is the estimate of the last period completed by ``until_ns`` (the
     caller passes the comparison estimator's convergence instant); with no
-    completed period, the open period is evaluated at that instant.
+    completed period, the open period is evaluated at that instant. A table
+    of at most ``MAX_VMWARE_PAGES`` flags records a period's accesses.
     """
     if not 1 <= allocated_pages <= trace_mod._INT64_MAX:
         raise ValidationError("allocated_pages: must be within 1..2^63-1")
@@ -209,36 +214,29 @@ def estimate_vmware(
             f"{sample_size} pages, more than {MAX_VMWARE_PERIODS} periods or {MAX_VMWARE_SAMPLES} pages"
         )
 
-    # Each block of periods draws its samples in period order, as one
-    # rng.choice per period, and counts every period's faulted pages with one
-    # isin over (period, page) keys. No sample lies beyond the allocation, so
-    # only accesses inside it are keyed; accesses go in chunks, which bound
-    # temporaries.
-    # A block's int64 sample keys fill at most _CHUNK bytes: blocks of _CHUNK
-    # keys (2 MiB) raised glibc's mmap threshold, and the next trace read then
-    # faulted more pages.
+    # One flag per page below the width W, set for a period's accesses and
+    # cleared after it; sampled pages at or above W take the spare slot W,
+    # which no access sets.
+    top = trace.max_gppn
+    width = min(allocated_pages, top + 1)
+    if width > MAX_VMWARE_PAGES:
+        raise ValidationError(f"allocated_pages: vmware would flag {width} pages, "
+                              f"more than MAX_VMWARE_PAGES = {MAX_VMWARE_PAGES}")
+    touched = np.zeros(width + 1, dtype=bool)
+    if n_periods > 0:
+        edges = np.searchsorted(t, t0 + period_ns * np.arange(n_periods + 1), side="left")
+    else:  # with no completed period, the open one runs up to until_ns inclusive
+        edges = (0, np.searchsorted(t, until_ns, side="right"))
     rng = np.random.default_rng(seed)
-    n = max(n_periods, 1)
-    block = max(1, min(trace_mod._CHUNK // 8 // sample_size, trace_mod._INT64_MAX // allocated_pages))
-    faulted = np.empty(n, dtype=np.int64)
-    for k in range(0, n, block):
-        b = min(block, n - k)
-        sampled = np.empty((b, sample_size), dtype=np.int64)
-        for row in sampled:
-            row[:] = rng.choice(allocated_pages, size=sample_size, replace=False)
-        sampled += np.arange(0, b * allocated_pages, allocated_pages, dtype=np.int64)[:, None]
-        start = t0 + k * period_ns
-        # With no completed period, the open one runs up to until_ns inclusive.
-        end = start + b * period_ns if n_periods > 0 else until_ns + 1
-        lo, hi = np.searchsorted(t, (start, end), side="left")
-        hit = np.zeros(sampled.shape, dtype=bool)
-        for a in range(lo, hi, trace_mod._CHUNK):
-            z = min(a + trace_mod._CHUNK, hi)
-            inside = g[a:z] < allocated_pages
-            keys = (t[a:z][inside] - start) // period_ns * allocated_pages + g[a:z][inside]
-            hit |= np.isin(sampled, keys)
-        faulted[k:k + b] = hit.sum(axis=1)
-    per_period = [round(f / sample_size * allocated_pages) for f in faulted.tolist()]
+    per_period = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sample = np.minimum(rng.choice(allocated_pages, size=sample_size, replace=False), width)
+        pages = g[lo:hi]
+        if top >= width:  # only a direct caller passes pages past the allocation
+            pages = pages[pages < width]
+        touched[pages] = True
+        per_period.append(round(np.count_nonzero(touched[sample]) / sample_size * allocated_pages))
+        touched[pages] = False
     wss = per_period[-1]
     return WssEstimate(
         wss_pages=wss,

@@ -42,6 +42,7 @@ import numpy as np
 from . import trace as trace_mod
 from .errors import ValidationError
 from .estimator import (
+    MAX_VMWARE_PAGES,
     EstimatorParams,
     VmwareParams,
     WssEstimate,
@@ -330,13 +331,12 @@ def _checked(scenario: Scenario, trace: Optional[Trace]) -> tuple:
     elif trace is None:
         trace = read_trace_file(scenario.trace_path)
     allocated = _allocated_pages(scenario, trace)
-    if len(trace) and trace.max_gppn >= allocated:
-        raise ValidationError(
-            f"vm_pages: trace references page {trace.max_gppn} outside the "
-            f"{allocated}-page allocation"
-        )
-    if ESTIMATOR_VMWARE in scenario.estimators_enabled and allocated > trace_mod._INT64_MAX:
-        raise ValidationError(f"vm_pages: vmware cannot sample a {allocated}-page allocation, above 2^63-1")
+    top = trace.max_gppn
+    if top >= allocated:
+        raise ValidationError(f"vm_pages: trace references page {top} outside the {allocated}-page allocation")
+    # estimate_vmware keeps one flag per page up to the highest touched one.
+    if ESTIMATOR_VMWARE in scenario.estimators_enabled and top >= MAX_VMWARE_PAGES:
+        raise ValidationError(f"vm_pages: vmware would flag {top + 1} pages, more than {MAX_VMWARE_PAGES}")
     if ESTIMATOR_VMWARE in scenario.estimators_enabled and scenario.vmware.sample_size > allocated:
         raise ValidationError(
             f"vmware.sample_size: {scenario.vmware.sample_size} samples exceed the "

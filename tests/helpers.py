@@ -17,9 +17,10 @@ trace or ``TraceParseError``.
 one pass and repeated it: one pattern pass, with its own ``wi`` draw, per
 pass, and the passes concatenated. ``generate`` must give the same trace.
 
-``reference_vmware`` is the sampling baseline as it was before it sampled in
-blocks of periods: one sample draw, one ``searchsorted`` and one ``isin`` per
-period. ``estimate_vmware`` must give the same series and estimate.
+``reference_vmware`` is the sampling baseline with membership by ``isin``:
+one sample draw, one period's accesses and one ``isin`` per period.
+``estimate_vmware``, which flags the accesses in a page table, must give the
+same series and estimate.
 """
 
 from __future__ import annotations
@@ -205,9 +206,9 @@ def reference_vmware(trace: Trace, allocated_pages: int, sample_size: int, perio
     per_period: list[int] = []
     for k in range(max(n_periods, 1)):
         start = t0 + k * period_ns
-        end = start + period_ns if n_periods > 0 else until_ns + 1
+        last = start + period_ns - 1 if n_periods > 0 else until_ns  # the period's last instant
         sample = rng.choice(allocated_pages, size=sample_size, replace=False)
-        lo, hi = np.searchsorted(t, (start, end), side="left")
+        lo, hi = np.searchsorted(t, start, side="left"), np.searchsorted(t, last, side="right")
         faulted = int(np.isin(sample, g[lo:hi]).sum())
         per_period.append(round(faulted / sample_size * allocated_pages))
     return tuple(per_period), per_period[-1]

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pagelog import sim
 from pagelog.cli import main
 from pagelog.trace import Trace, write_trace_file
 
@@ -358,6 +359,23 @@ def test_trace_page_past_vmware_range_exit1(tmp_path, capsys):
     assert main(["compare", str(scn)]) == 1
     assert "vm_pages" in capsys.readouterr().err
     assert main(["run", str(scn)]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_vmware_page_table_bound_exit1_before_the_walk_stage(tmp_path, capsys, monkeypatch, command):
+    # vmware keeps one flag per page up to the trace's highest page; past
+    # MAX_VMWARE_PAGES flags the run is refused before any TLB work.
+    def walk_stage(*args):
+        raise AssertionError("the walk stage ran")
+
+    monkeypatch.setattr(sim, "MAX_VMWARE_PAGES", 4)
+    monkeypatch.setattr(sim, "walk_codes", walk_stage)
+    (tmp_path / "t.csv").write_text("0,0,1,R\n100,0,4,W\n")
+    scn = tmp_path / "s.scn"
+    scn.write_text("workload.trace = t.csv\nvm_pages = 8\nestimators = oracle, vmware\n"
+                   "vmware.sample_size = 2\n")
+    assert main([command, str(scn)]) == 1
+    assert "vm_pages: vmware would flag 5 pages, more than 4" in capsys.readouterr().err
 
 
 def test_compare_rows(scn, capsys):

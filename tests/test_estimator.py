@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import reference_vmware
 
-from pagelog import trace as trace_mod
+from pagelog import estimator
 from pagelog.errors import PredicateContractError, ValidationError
 from pagelog.estimator import (
     EstimatorParams,
@@ -332,12 +332,14 @@ def vmware_cases(draw):
         draw(st.lists(st.sampled_from([0, 1, 10, 100]), min_size=n, max_size=n)), dtype=np.int64)
     vcpu = draw(st.lists(st.sampled_from(draw(st.lists(st.integers(0, 2**31 - 1), min_size=1,
                                                        max_size=4))), min_size=n, max_size=n))
-    # Pages up to 80 against allocations of at most 60: a direct caller may
-    # pass a trace that touches pages outside the allocation.
     gppn = draw(st.lists(st.integers(0, 80), min_size=n, max_size=n))
     trace = Trace(t, np.array(vcpu, dtype=np.int32), np.array(gppn, dtype=np.int64),
                   np.zeros(n, dtype=bool))
-    allocated = draw(st.integers(1, 60))
+    # An allocation at or below the highest touched page (a direct caller may
+    # pass pages outside it), or above it up to 2^63-1, where samples past
+    # the page table take its spare slot.
+    top = max(gppn, default=0)
+    allocated = draw(st.integers(1, top + 1) | st.integers(top + 1, top + 60) | st.just(2**63 - 1))
     sample_size = min(draw(st.sampled_from([1, 2, 3]) | st.integers(1, 60)), allocated)
     span = trace.span_ns
     period_ns = draw(st.integers(max(1, span // 64), 2 * max(1, span)))
@@ -353,18 +355,14 @@ def vmware_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(vmware_cases(), st.sampled_from([None, 1, 3, 7, 24, 56]))
-def test_vmware_matches_per_period_reference(case, chunk):
-    # Blocks hold _CHUNK // 8 // sample_size periods (at least one), and
-    # accesses go in chunks of _CHUNK rows, so tiny chunks put block seams
-    # between periods and access seams inside them. The per-period draws keep
-    # the rng stream.
+@given(vmware_cases())
+def test_vmware_matches_per_period_reference(case):
+    # The per-period draws keep the rng stream, and the page table matches
+    # isin on every side of its width: pages past the allocation, samples
+    # past the highest touched page, and open and closed periods.
     trace, allocated, sample_size, period_s, seed, until = case
-    with pytest.MonkeyPatch.context() as mp:
-        if chunk is not None:
-            mp.setattr(trace_mod, "_CHUNK", chunk)
-        est = estimate_vmware(trace, allocated, params(), VmwareParams(sample_size, period_s),
-                              seed=seed, until_ns=until)
+    est = estimate_vmware(trace, allocated, params(), VmwareParams(sample_size, period_s),
+                          seed=seed, until_ns=until)
     observations, wss = reference_vmware(trace, allocated, sample_size, period_s, seed, until)
     assert est.observations == observations
     assert est.wss_pages == wss
@@ -373,8 +371,8 @@ def test_vmware_matches_per_period_reference(case, chunk):
 
 @pytest.mark.parametrize("allocated", [2**61, 2**62, 2**63 - 1])
 def test_vmware_huge_allocation_matches_reference(allocated):
-    # Keys of period x allocation + page must fit int64: a block holds 3
-    # periods at 2^61 pages and one from 2^62 up.
+    # rng.choice draws from allocations up to 2^63-1, and every sample above
+    # the 7 touched pages counts as not faulted.
     tr = _uniform_trace(7, 8, gap=10)
     est = estimate_vmware(tr, allocated, params(), VmwareParams(2, 30e-9), seed=3)
     assert (est.observations, est.wss_pages) == reference_vmware(tr, allocated, 2, 30e-9, 3)
@@ -382,13 +380,35 @@ def test_vmware_huge_allocation_matches_reference(allocated):
 
 
 def test_vmware_page_past_a_small_allocation_matches_reference():
-    # Page 2^63-1 lies beyond the 10-page allocation: it takes no key, and the
-    # keys of the allocation's pages still fit int64. Seed 1 samples page 5
-    # in the first period.
+    # Page 2^63-1 lies beyond the 10-page allocation: it is skipped, and the
+    # page table stays 10 flags wide. Seed 1 samples page 5 in the first period.
     tr = Trace(t=[0, 100], vcpu=[0, 0], gppn=[5, 2**63 - 1], is_write=[False, False])
     est = estimate_vmware(tr, 10, params(), VmwareParams(2, 1e-8), seed=1)
     assert (est.observations, est.wss_pages) == reference_vmware(tr, 10, 2, 1e-8, 1)
     assert est.observations == (5,) + (0,) * 9
+
+
+def test_vmware_open_period_runs_to_the_last_int64_instant():
+    # The open period's end, until_ns + 1, used to overflow int64 at
+    # until_ns = 2^63-1 and be compared as a float: page 1, touched at
+    # 2^63-2, went uncounted.
+    tr = Trace(t=[2**63 - 600, 2**63 - 2], vcpu=[0, 0], gppn=[0, 1], is_write=[False, False])
+    est = estimate_vmware(tr, 2, params(), VmwareParams(2, 1.0), seed=1, until_ns=2**63 - 1)
+    assert (est.observations, est.wss_pages) == reference_vmware(tr, 2, 2, 1.0, 1, 2**63 - 1)
+    assert est.observations == (2,)
+
+
+def test_vmware_page_table_bounded(monkeypatch):
+    # One flag per page up to the highest touched page inside the allocation;
+    # a wider table is refused.
+    monkeypatch.setattr(estimator, "MAX_VMWARE_PAGES", 4)
+    tr = _uniform_trace(10, 2)
+    with pytest.raises(ValidationError, match=r"^allocated_pages: vmware would flag 10 pages, more "
+                                              r"than MAX_VMWARE_PAGES = 4$"):
+        estimate_vmware(tr, 2**40, params(), VmwareParams(2, 1e-6))
+    # A 4-page allocation needs 4 flags, whatever pages past it the trace touches.
+    est = estimate_vmware(tr, 4, params(), VmwareParams(2, 1e-6), seed=1)
+    assert (est.observations, est.wss_pages) == reference_vmware(tr, 4, 2, 1e-6, 1)
 
 
 # -- kernel footprint probe ------------------------------------------------------
